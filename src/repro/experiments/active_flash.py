@@ -30,32 +30,18 @@ import argparse
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster.builder import Cluster
-from ..core.api import RvmaApi
-from ..faults.chaos import ChaosSchedule
-from ..faults.injectors import FaultInjector
-from ..nic.rvma import RvmaNicConfig
-from ..observability import MetricsRegistry
-from ..recovery.auditor import InvariantAuditor
-from ..services import (
-    ClientRobustnessConfig,
-    KvClient,
-    KvServer,
-    KvServerConfig,
-    LoadGenerator,
-    LoadStats,
-    ShardMap,
-    WorkloadConfig,
-)
+from ..scenarios.runner import engine_mode
+from ..services import ClientRobustnessConfig, LoadGenerator, LoadStats, WorkloadConfig
 from ..services.wire import OP_PUT
-from ..sim.process import spawn
-from .chaos import CHAOS_RELIABILITY
-from .qos_noisy import _engine_mode
-from .report import ExperimentResult
+from .kv_cell import build_kv_cell, finite_capacity
+from .report import ExperimentResult, seeds_of
 
 #: Hot-key count; ranks 0..N-1 of the Zipf popularity order, which is
 #: exactly where a skewed flash crowd concentrates.
 DEFAULT_HOT_KEYS = 4
+
+#: Whole-cell sim deadline (stall guard).
+FLASH_DEADLINE_NS = 200_000_000.0
 
 
 def hot_key_set(n_hot: int = DEFAULT_HOT_KEYS) -> tuple:
@@ -129,56 +115,39 @@ def _run_cell(
     active: bool,
     workload: WorkloadConfig,
     n_hot: int,
-    n_server_nodes: int,
-    shards_per_node: int,
-    n_client_nodes: int,
-    clients_per_node: int,
+    n_server_nodes: int = 2,
+    shards_per_node: int = 2,
+    n_client_nodes: int = 3,
+    clients_per_node: int = 2,
     chaos: bool = False,
-    auditor: Optional[InvariantAuditor] = None,
-    sim_deadline_ns: float = 200_000_000.0,
-) -> CellStats:
-    """One run: warm the hot keys, then drive the flash-crowd load."""
-    n_nodes = n_server_nodes + n_client_nodes
-    cluster = Cluster.build(
-        n_nodes=n_nodes, topology="dragonfly", nic_type="rvma", fidelity="flow",
-        seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
-    )
-    if chaos:
-        schedule = ChaosSchedule.generate(
-            cluster, horizon_ns=sim_deadline_ns * 0.6, n_events=4,
-            max_window_ns=2_000_000.0, drop_prob=0.02, kinds=("link_flap",),
-        )
-        schedule.apply(FaultInjector(cluster))
-    if auditor is not None:
-        auditor.attach(cluster)
+) -> tuple:
+    """One run: warm the hot keys, then drive the flash-crowd load.
 
+    Returns ``(CellStats, KvCell)``; under *chaos* the cell's auditor
+    shadows every placement and completion.
+    """
     hot = hot_key_set(n_hot)
-    # Finite host serving capacity: without per-request CPU cost there
-    # is no dispatch queue for the flash crowd to clog and nothing for
-    # the NIC serve path to win.
-    server_config = KvServerConfig(
-        service_ns_per_request=800.0, service_ns_per_byte=0.2,
-        hot_keys=hot if active else (),
+    cell = build_kv_cell(
+        seed,
+        clients=[
+            (n_server_nodes + n, i, 0)
+            for n in range(n_client_nodes)
+            for i in range(clients_per_node)
+        ],
+        deadline_ns=FLASH_DEADLINE_NS,
+        servers=n_server_nodes,
+        shards_per_node=shards_per_node,
+        server_config=finite_capacity(hot_keys=hot if active else ()),
+        robustness=ClientRobustnessConfig() if chaos else None,
+        chaos=dict(
+            horizon_ns=FLASH_DEADLINE_NS * 0.6, n_events=4,
+            max_window_ns=2_000_000.0, drop_prob=0.02,
+        ) if chaos else None,
+        audit=chaos,
     )
-    shard_map = ShardMap(list(range(n_server_nodes)), shards_per_node)
-    servers = [
-        KvServer(cluster.nodes[n], shard_map, server_config).start()
-        for n in range(n_server_nodes)
-    ]
-    robustness = ClientRobustnessConfig() if chaos else None
-    clients = [
-        KvClient(
-            RvmaApi(cluster.nodes[n_server_nodes + n]), shard_map, index=i,
-            max_put_bytes=server_config.chunk_bytes, robustness=robustness,
-        )
-        for n in range(n_client_nodes)
-        for i in range(clients_per_node)
-    ]
-    gen = LoadGenerator(cluster.sim, clients, workload)
+    gen = LoadGenerator(cell.sim, cell.clients, workload)
 
-    def master():
-        for client in clients:
-            yield from client.open()
+    def flash():
         # Warm phase: one PUT per hot key.  The executing host syncs
         # each value into the NIC view (when active), so the crowd's
         # GETs find a servable entry — identical bytes either way.
@@ -187,41 +156,26 @@ def _run_cell(
             for i, key in enumerate(hot)
         ]
         gen.stats.ops_issued += len(warm)
-        replies = yield from clients[0].execute_batch(
+        replies = yield from cell.clients[0].execute_batch(
             warm, deadline_ns=workload.deadline_ns
         )
         for (op, _k, _v), reply in zip(warm, replies):
             gen.stats.note(op, reply.status)
         yield from gen.run()
-        # Drain grace before the shard streams close, so late
-        # retransmits land as stale duplicates instead of put loss.
-        yield 100_000.0
-        for server in servers:
-            server.stop()
 
-    proc = spawn(cluster.sim, master(), "flash-master")
-    error: Optional[str] = None
-    try:
-        cluster.sim.run(until=sim_deadline_ns)
-    except RuntimeError as exc:
-        error = str(exc)
-    if error is None and not proc.finished:
-        error = f"cell did not finish by sim_deadline_ns={sim_deadline_ns:,.0f}"
-
-    registry = MetricsRegistry.collect(cluster.sim)
-    latency = registry.histograms.get("service.kv.request_latency_ns")
-    counters = registry.counters
-    return CellStats(
-        completed=proc.finished,
-        error=error,
-        p99_ns=latency.percentile(0.99) if latency is not None else float("nan"),
-        requests=counters.get("service.kv.requests", 0),
-        served=counters.get("nic.rvma.active.served", 0),
-        handler_served=counters.get("service.kv.client.handler_served", 0),
-        puts_lost=counters.get("nic.rvma.puts_lost", 0),
+    cell.run(flash(), drain=True)
+    stats = CellStats(
+        completed=cell.completed,
+        error=cell.error,
+        p99_ns=cell.latency(0.99),
+        requests=cell.counter("service.kv.requests"),
+        served=cell.counter("nic.rvma.active.served"),
+        handler_served=cell.counter("service.kv.client.handler_served"),
+        puts_lost=cell.counter("nic.rvma.puts_lost"),
         load=gen.stats,
-        events_executed=cluster.sim.events_executed,
+        events_executed=cell.sim.events_executed,
     )
+    return stats, cell
 
 
 def _flash_workload(n_hot: int, n_ops: int, deadline_ns: Optional[float]) -> WorkloadConfig:
@@ -268,8 +222,8 @@ def run_flash_crowd(
         shards_per_node=shards_per_node, n_client_nodes=n_client_nodes,
         clients_per_node=clients_per_node,
     )
-    off = _run_cell(seed, active=False, **kw)
-    on = _run_cell(seed, active=True, **kw)
+    off, _cell = _run_cell(seed, active=False, **kw)
+    on, _cell = _run_cell(seed, active=True, **kw)
     return FlashOutcome(seed=seed, variant=variant, off=off, on=on)
 
 
@@ -301,17 +255,14 @@ def run_flash_chaos(
     """Active-on flash crowd under link flaps with the auditor shadowing
     every placement/completion — handler rewrites and injected replies
     must keep epoch bytes identical through retransmits."""
-    auditor = InvariantAuditor()
-    cell = _run_cell(
+    stats, cell = _run_cell(
         seed, active=True,
         workload=_flash_workload(n_hot, n_ops, deadline_ns=8_000_000.0),
-        n_hot=n_hot, n_server_nodes=2, shards_per_node=2,
-        n_client_nodes=3, clients_per_node=2,
-        chaos=True, auditor=auditor,
+        n_hot=n_hot, chaos=True,
     )
     return ChaosOutcome(
-        seed=seed, cell=cell, audit_ok=auditor.ok,
-        audit_violations=len(auditor.violations),
+        seed=seed, cell=stats, audit_ok=cell.auditor.ok,
+        audit_violations=len(cell.auditor.violations),
     )
 
 
@@ -411,15 +362,9 @@ def active_main(argv: Optional[list] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    with _engine_mode(args.engine):
+    with engine_mode(args.engine):
         if args.sweep:
-            if args.seeds:
-                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            elif args.seed is not None:
-                seeds = (args.seed,)
-            else:
-                seeds = (1, 2, 3)
-            result = run_flash_sweep(seeds=seeds)
+            result = run_flash_sweep(seeds=seeds_of(args))
             print(result.to_text())
             for key, value in result.summary.items():
                 print(f"  {key}: {value}")

@@ -17,7 +17,9 @@ chaos cell — with fixed seeds and scales, and emits one
   number can be correlated with what the run actually did.
 
 A committed ``benchmarks/baseline.json`` anchors the regression gate:
-:func:`compare` fails any benchmark whose events/sec drops more than
+:func:`compare` fails any benchmark whose event count, simulated time,
+outcome digest or invariant/contrast verdicts differ from the baseline
+at all (semantic drift), or whose events/sec drops more than
 ``tolerance`` below baseline.  Cross-machine runs are normalised by a
 small pure-Python calibration loop (heap churn + function calls), so a
 slower CI host does not read as an engine regression.
@@ -38,7 +40,6 @@ from __future__ import annotations
 import argparse
 import heapq
 import json
-import os
 import platform
 import sys
 import time
@@ -615,6 +616,28 @@ def run_suite(suite: str = "default", names: Optional[list[str]] = None) -> list
 # ------------------------------------------------------------------- comparison
 
 
+#: Record fields that pin a cell's behaviour, not its speed: any
+#: mismatch against the baseline is semantic drift.
+SEMANTIC_FIELDS = ("events", "sim_ns")
+SEMANTIC_EXTRAS = ("outcome_digest", "invariants_ok", "contrast_ok")
+
+
+def _semantic_drift(rec: BenchRecord, base: dict) -> list[str]:
+    """Fields where *rec* differs from its baseline entry *base*."""
+    drift = [
+        f"{key} {base.get(key)!r} -> {getattr(rec, key)!r}"
+        for key in SEMANTIC_FIELDS
+        if getattr(rec, key) != base.get(key)
+    ]
+    base_extras = base.get("extras", {})
+    drift += [
+        f"{key} {base_extras.get(key)!r} -> {rec.extras.get(key)!r}"
+        for key in SEMANTIC_EXTRAS
+        if rec.extras.get(key) != base_extras.get(key)
+    ]
+    return drift
+
+
 def compare(
     records: list[BenchRecord],
     baseline: dict,
@@ -624,12 +647,19 @@ def compare(
 ) -> tuple[list[str], list[str]]:
     """Gate records against a baseline document.
 
-    Returns ``(regressions, notes)``.  A benchmark regresses when its
-    calibration-normalised events/sec falls more than *tolerance* below
-    the baseline's for the same suite (scales differ between suites, so
-    a smoke run is never gated against default-scale numbers).
-    Benchmarks without events/sec (chaos-crash) and benchmarks absent
-    from the baseline are reported as notes only.
+    Returns ``(regressions, notes)``.  Two gates apply per benchmark:
+
+    * **semantic** — ``events``, ``sim_ns`` and the ``outcome_digest`` /
+      ``invariants_ok`` / ``contrast_ok`` extras must equal the
+      baseline's exactly, whatever the timing: a mismatch means the
+      simulation changed, which no speedup excuses;
+    * **timing** — the calibration-normalised events/sec must not fall
+      more than *tolerance* below the baseline's for the same suite
+      (scales differ between suites, so a smoke run is never gated
+      against default-scale numbers); ``tolerance=1.0`` turns it off.
+
+    Benchmarks without events/sec (chaos-crash) get only the semantic
+    gate; benchmarks absent from the baseline are reported as notes.
     """
     regressions: list[str] = []
     notes: list[str] = []
@@ -649,6 +679,9 @@ def compare(
         if base is None:
             notes.append(f"{rec.name}: no baseline entry (new benchmark)")
             continue
+        drift = _semantic_drift(rec, base)
+        if drift:
+            regressions.append(f"{rec.name}: semantic drift vs baseline: " + "; ".join(drift))
         eps, base_eps = rec.events_per_sec, base.get("events_per_sec")
         if eps is None or not base_eps:
             notes.append(f"{rec.name}: wall {rec.wall_s:.3f}s (no events/sec gate)")

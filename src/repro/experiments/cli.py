@@ -34,7 +34,7 @@ from .fig6 import run_fig6
 from .kv_churn import run_kv_churn
 from .motif_sweep import run_fig7, run_fig8
 from .qos_noisy import run_noisy_sweep
-from .report import ExperimentResult
+from .report import ExperimentResult, seeds_of as _seeds_of
 
 PAPER_NODES = 8192
 
@@ -45,11 +45,6 @@ def _fig7_runner(args) -> ExperimentResult:
 
 def _fig8_runner(args) -> ExperimentResult:
     return run_fig8(n_nodes=args.nodes, jobs=args.jobs)
-
-
-def _seeds_of(args) -> tuple:
-    """One pinned seed from ``--seed``, or the default matrix."""
-    return (args.seed,) if args.seed is not None else (1, 2, 3)
 
 
 def _motifs_of(args) -> tuple:

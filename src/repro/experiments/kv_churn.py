@@ -22,16 +22,10 @@ import argparse
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster.builder import Cluster
-from ..core.api import RvmaApi
-from ..faults.chaos import ChaosSchedule
-from ..faults.injectors import FaultInjector
-from ..nic.rvma import RvmaNicConfig
-from ..observability import MetricsRegistry, RunReport
-from ..services import KvClient, KvServer, KvServerConfig, LoadGenerator, ShardMap, WorkloadConfig
-from ..sim.process import spawn
-from .chaos import CHAOS_RELIABILITY
-from .report import ExperimentResult
+from ..observability import RunReport
+from ..services import KvServerConfig, LoadGenerator, WorkloadConfig
+from .kv_cell import build_kv_cell
+from .report import ExperimentResult, seeds_of
 
 #: Chaos shape for churn cells: fabric-level flaps only — the service
 #: must ride them out through the transport, not through recovery.
@@ -102,97 +96,59 @@ def run_kv_service(
     transport's ``flow_room`` hold path, chaos or not.
     """
     workload = workload or WorkloadConfig()
-    n_nodes = n_server_nodes + n_client_nodes
-    cluster = Cluster.build(
-        n_nodes=n_nodes, topology=topology, nic_type="rvma", fidelity=fidelity,
-        seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
-    )
-    if chaos:
-        schedule = ChaosSchedule.generate(
-            cluster, horizon_ns=horizon_ns, n_events=n_events,
+    cell = build_kv_cell(
+        seed,
+        clients=[
+            (n_server_nodes + n, i, 0)
+            for n in range(n_client_nodes)
+            for i in range(clients_per_node)
+        ],
+        deadline_ns=deadline_ns,
+        servers=n_server_nodes,
+        shards_per_node=shards_per_node,
+        server_config=server_config,
+        topology=topology,
+        fidelity=fidelity,
+        chaos=dict(
+            horizon_ns=horizon_ns, n_events=n_events,
             max_window_ns=max_window_ns, drop_prob=drop_prob,
-            kinds=("link_flap",),
-        )
-        schedule.apply(FaultInjector(cluster))
-    if observe and trace:
-        cluster.sim.spans.enable()
+        ) if chaos else None,
+        spans=observe and trace,
+    )
+    gen = LoadGenerator(cell.sim, cell.clients, workload)
+    cell.run(gen.run())
 
-    server_config = server_config or KvServerConfig()
-    shard_map = ShardMap(list(range(n_server_nodes)), shards_per_node)
-    servers = [
-        KvServer(cluster.nodes[n], shard_map, server_config).start()
-        for n in range(n_server_nodes)
-    ]
-    clients = [
-        KvClient(
-            RvmaApi(cluster.nodes[n_server_nodes + n]), shard_map, index=i,
-            max_put_bytes=server_config.chunk_bytes,
-        )
-        for n in range(n_client_nodes)
-        for i in range(clients_per_node)
-    ]
-    gen = LoadGenerator(cluster.sim, clients, workload)
-
-    def master():
-        for client in clients:
-            yield from client.open()
-        stats = yield from gen.run()
-        for server in servers:
-            server.stop()
-        return stats
-
-    proc = spawn(cluster.sim, master(), "kv-master")
-    error: Optional[str] = None
-    try:
-        # Bounded: a stalled workload (e.g. a put held forever against
-        # flow_room) would otherwise keep the poll loops generating
-        # events and spin the drive loop indefinitely.
-        cluster.sim.run(until=deadline_ns)
-    except RuntimeError as exc:  # engine-level failure, not a modelled outcome
-        error = str(exc)
-    if error is None and not proc.finished:
-        error = (
-            f"workload did not finish by deadline_ns={deadline_ns:,.0f} "
-            "(clients still waiting: stalled or deadlocked)"
-        )
-
-    registry = MetricsRegistry.collect(cluster.sim)
-    latency = registry.histograms.get("service.kv.request_latency_ns")
-    reply_batch = registry.summaries.get("service.kv.reply_batch")
-    counters = registry.counters
+    reply_batch = cell.registry.summaries.get("service.kv.reply_batch")
     return KvOutcome(
         seed=seed,
-        completed=proc.finished,
-        error=error,
-        elapsed_ns=cluster.sim.now,
+        completed=cell.completed,
+        error=cell.error,
+        elapsed_ns=cell.sim.now,
         ops_issued=gen.stats.ops_issued,
         ops_completed=gen.stats.ops_completed,
-        p50_ns=latency.percentile(0.50) if latency is not None else float("nan"),
-        p99_ns=latency.percentile(0.99) if latency is not None else float("nan"),
-        requests=counters.get("service.kv.requests", 0),
-        replies=counters.get("service.kv.replies", 0),
-        flushes=counters.get("service.kv.flushes", 0),
+        p50_ns=cell.latency(0.50),
+        p99_ns=cell.latency(0.99),
+        requests=cell.counter("service.kv.requests"),
+        replies=cell.counter("service.kv.replies"),
+        flushes=cell.counter("service.kv.flushes"),
         reply_batch_mean=reply_batch.mean if reply_batch is not None else 0.0,
-        retransmits=counters.get("transport.retransmits", 0),
-        rx_paced=counters.get("transport.rx_paced", 0),
-        gave_up=counters.get("transport.gave_up", 0),
-        puts_lost=counters.get("nic.rvma.puts_lost", 0),
-        events_executed=cluster.sim.events_executed,
+        retransmits=cell.counter("transport.retransmits"),
+        rx_paced=cell.counter("transport.rx_paced"),
+        gave_up=cell.counter("transport.gave_up"),
+        puts_lost=cell.counter("nic.rvma.puts_lost"),
+        events_executed=cell.sim.events_executed,
         run_report=(
-            RunReport.collect(
-                cluster,
-                meta={
-                    "harness": "kv-churn",
-                    "seed": seed,
-                    "n_nodes": n_nodes,
-                    "shards": shard_map.n_shards,
-                    "clients": len(clients),
-                    "mode": workload.mode,
-                    "zipf_s": workload.zipf_s,
-                    "chaos": chaos,
-                    "completed": proc.finished,
-                },
-            )
+            cell.report({
+                "harness": "kv-churn",
+                "seed": seed,
+                "n_nodes": cell.cluster.n_nodes,
+                "shards": cell.shard_map.n_shards,
+                "clients": len(cell.clients),
+                "mode": workload.mode,
+                "zipf_s": workload.zipf_s,
+                "chaos": chaos,
+                "completed": cell.completed,
+            })
             if observe
             else None
         ),
@@ -307,13 +263,7 @@ def services_main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.churn:
-        if args.seeds:
-            seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        elif args.seed is not None:
-            seeds = (args.seed,)
-        else:
-            seeds = (1, 2, 3)
-        result = run_kv_churn(seeds=seeds, observe=bool(args.metrics_out), trace=args.trace)
+        result = run_kv_churn(seeds=seeds_of(args), observe=bool(args.metrics_out), trace=args.trace)
         print(result.to_text())
         for key, value in result.summary.items():
             print(f"  {key}: {value}")

@@ -26,32 +26,20 @@ Also the home of the ``qos`` CLI subcommand
 from __future__ import annotations
 
 import argparse
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from ..cluster.builder import Cluster
-from ..core.api import RvmaApi
-from ..nic.rvma import RvmaNicConfig
-from ..observability import MetricsRegistry
+from ..scenarios.runner import engine_mode
 from ..services import (
     ClientRobustnessConfig,
-    KvClient,
-    KvServer,
-    KvServerConfig,
     LoadGenerator,
     LoadStats,
-    QosConfig,
-    ShardMap,
     TenantDirectory,
     TenantSpec,
     WorkloadConfig,
-    install_placement_quota,
 )
-from ..services.kv import REPLY_MAILBOX_BASE, REQUEST_MAILBOX_BASE
-from ..sim.process import AllOf, spawn
-from .chaos import CHAOS_RELIABILITY
-from .report import ExperimentResult
+from .kv_cell import build_kv_cell, finite_capacity
+from .report import ExperimentResult, seeds_of
 
 #: Tenant ids for the two roles (0 stays the untenanted default).
 VICTIM = 1
@@ -169,169 +157,65 @@ def run_noisy_neighbor(
     shed ops resolve fast and the storm stays dense.
     """
     tenants = tenants or default_tenants()
-    solo_p99, _solo = _run_cell(
-        seed, qos, tenants, n_server_nodes, shards_per_node, victim_nodes,
-        aggressor_nodes, clients_per_node, victim_ops, 0,
-        victim_interarrival_ns, aggressor_batch,
-        aggressor_value_bytes, deadline_ns, aggressor_deadline_ns, sim_deadline_ns,
-    )
-    victim_p99, out = _run_cell(
-        seed, qos, tenants, n_server_nodes, shards_per_node, victim_nodes,
-        aggressor_nodes, clients_per_node, victim_ops, aggressor_ops,
-        victim_interarrival_ns, aggressor_batch,
-        aggressor_value_bytes, deadline_ns, aggressor_deadline_ns, sim_deadline_ns,
-    )
-    out.victim_solo_p99_ns = solo_p99
-    out.victim_p99_ns = victim_p99
-    return out
-
-
-def _run_cell(
-    seed: int,
-    qos: bool,
-    tenants: TenantDirectory,
-    n_server_nodes: int,
-    shards_per_node: int,
-    victim_nodes: int,
-    aggressor_nodes: int,
-    clients_per_node: int,
-    victim_ops: int,
-    aggressor_ops: int,
-    victim_interarrival_ns: float,
-    aggressor_batch: int,
-    aggressor_value_bytes: int,
-    deadline_ns: float,
-    aggressor_deadline_ns: float,
-    sim_deadline_ns: float,
-) -> tuple[float, NoisyOutcome]:
-    n_nodes = n_server_nodes + victim_nodes + aggressor_nodes
-    cluster = Cluster.build(
-        n_nodes=n_nodes, topology="dragonfly", nic_type="rvma", fidelity="flow",
-        seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
-    )
-    victim_node_ids = list(range(n_server_nodes, n_server_nodes + victim_nodes))
-    aggressor_node_ids = list(
-        range(n_server_nodes + victim_nodes, n_nodes)
-    )
-    for node_id in victim_node_ids:
-        tenants.assign_node(node_id, VICTIM)
-    for node_id in aggressor_node_ids:
-        tenants.assign_node(node_id, AGGRESSOR)
-
-    # Finite serving capacity (modeled host CPU per request): without
-    # it execution is instantaneous, no queue ever forms, and there is
-    # nothing for an aggressor to steal or for QoS to protect.
-    server_config = KvServerConfig(
-        service_ns_per_request=800.0, service_ns_per_byte=0.2
-    )
-    shard_map = ShardMap(list(range(n_server_nodes)), shards_per_node)
-    qos_config = QosConfig() if qos else None
-    servers = [
-        KvServer(
-            cluster.nodes[n], shard_map, server_config,
-            qos=qos_config, tenants=tenants if qos else None,
-        ).start()
-        for n in range(n_server_nodes)
+    first_aggressor = n_server_nodes + victim_nodes
+    clients = [
+        (node, i, VICTIM if node < first_aggressor else AGGRESSOR)
+        for node in range(n_server_nodes, first_aggressor + aggressor_nodes)
+        for i in range(clients_per_node)
     ]
-    if qos:
-        for n in range(n_server_nodes):
-            install_placement_quota(
-                cluster.nodes[n], tenants,
-                mailbox_lo=REQUEST_MAILBOX_BASE, mailbox_hi=REPLY_MAILBOX_BASE,
-            )
+    n_victims = victim_nodes * clients_per_node
 
-    robustness = ClientRobustnessConfig()
-
-    def make_clients(node_ids: list, tenant: int, offset: int) -> list:
-        return [
-            KvClient(
-                RvmaApi(cluster.nodes[n]), shard_map, index=offset + i,
-                max_put_bytes=server_config.chunk_bytes,
-                tenant_id=tenant, robustness=robustness,
-            )
-            for n in node_ids
-            for i in range(clients_per_node)
-        ]
-
-    victim_clients = make_clients(victim_node_ids, VICTIM, 0)
-    aggressor_clients = make_clients(aggressor_node_ids, AGGRESSOR, 0)
-
-    victim_gen = LoadGenerator(
-        cluster.sim, victim_clients,
-        WorkloadConfig(
-            n_ops=victim_ops, n_keys=96, value_bytes=64, zipf_s=0.9,
-            mode="open", mean_interarrival_ns=victim_interarrival_ns,
-            deadline_ns=deadline_ns, rng_stream="kv-victim",
-        ),
-    )
-    aggressor_gen = LoadGenerator(
-        cluster.sim, aggressor_clients,
-        WorkloadConfig(
-            n_ops=aggressor_ops, n_keys=32, value_bytes=aggressor_value_bytes,
-            zipf_s=0.0, get_frac=0.1, put_frac=0.9, mode="closed",
-            batch=aggressor_batch,
-            deadline_ns=aggressor_deadline_ns, rng_stream="kv-aggressor",
-        ),
-    )
-
-    def drive(gen: LoadGenerator, clients: list):
-        for client in clients:
-            yield from client.open()
-        yield from gen.run()
-
-    def master():
-        procs = [spawn(cluster.sim, drive(victim_gen, victim_clients), "noisy-victim")]
-        if aggressor_ops > 0:
-            procs.append(
-                spawn(cluster.sim, drive(aggressor_gen, aggressor_clients), "noisy-aggressor")
-            )
-        yield AllOf([p.done_future for p in procs])
-        # Drain grace: retransmits for ops that resolved at their
-        # deadline may still be in flight; let them land (as stale
-        # duplicates) before the shard streams close, so shutdown
-        # doesn't masquerade as put loss.
-        yield 100_000.0
-        for server in servers:
-            server.stop()
-
-    proc = spawn(cluster.sim, master(), "noisy-master")
-    error: Optional[str] = None
-    try:
-        cluster.sim.run(until=sim_deadline_ns)
-    except RuntimeError as exc:
-        error = str(exc)
-    if error is None and not proc.finished:
-        error = (
-            f"cell did not finish by sim_deadline_ns={sim_deadline_ns:,.0f} "
-            "(an op stalled past its deadline machinery)"
+    def run(aggressor_ops: int):
+        cell = build_kv_cell(
+            seed, clients, sim_deadline_ns,
+            servers=n_server_nodes, shards_per_node=shards_per_node,
+            server_config=finite_capacity(),
+            tenants=tenants if qos else None,
+            robustness=ClientRobustnessConfig(),
         )
+        victims, aggressors = cell.clients[:n_victims], cell.clients[n_victims:]
+        victim_gen = LoadGenerator(
+            cell.sim, victims,
+            WorkloadConfig(
+                n_ops=victim_ops, n_keys=96, value_bytes=64, zipf_s=0.9,
+                mode="open", mean_interarrival_ns=victim_interarrival_ns,
+                deadline_ns=deadline_ns, rng_stream="kv-victim",
+            ),
+        )
+        aggressor_gen = LoadGenerator(
+            cell.sim, aggressors,
+            WorkloadConfig(
+                n_ops=aggressor_ops, n_keys=32, value_bytes=aggressor_value_bytes,
+                zipf_s=0.0, get_frac=0.1, put_frac=0.9, mode="closed",
+                batch=aggressor_batch,
+                deadline_ns=aggressor_deadline_ns, rng_stream="kv-aggressor",
+            ),
+        )
+        drivers = [(victims, victim_gen.run())]
+        if aggressor_ops > 0:
+            drivers.append((aggressors, aggressor_gen.run()))
+        cell.run(drivers=drivers, drain=True)
+        return cell, victim_gen.stats, aggressor_gen.stats
 
-    registry = MetricsRegistry.collect(cluster.sim)
-    victim_hist = registry.histograms.get(
-        f"service.kv.tenant.request_latency_ns.t{VICTIM}"
-    )
-    victim_p99 = victim_hist.percentile(0.99) if victim_hist is not None else float("nan")
-    counters = registry.counters
-    outcome = NoisyOutcome(
+    solo, _victim, _aggressor = run(0)
+    cell, victim_stats, aggressor_stats = run(aggressor_ops)
+    return NoisyOutcome(
         seed=seed,
         qos=qos,
-        completed=proc.finished,
-        error=error,
-        victim_solo_p99_ns=float("nan"),
-        victim_p99_ns=victim_p99,
-        victim_stats=victim_gen.stats,
-        aggressor_stats=aggressor_gen.stats,
-        overload_replies=counters.get("service.kv.overload_replies", 0),
-        quota_rejects=counters.get("nic.rvma.quota_rejects", 0),
-        retries=counters.get("service.kv.client.retries", 0),
-        victim_deadline_misses=counters.get(
-            f"service.kv.tenant.deadline_misses.t{VICTIM}", 0
-        ),
-        puts_lost=counters.get("nic.rvma.puts_lost", 0),
-        puts_lost_quota=counters.get("nic.rvma.puts_lost_quota", 0),
-        events_executed=cluster.sim.events_executed,
+        completed=cell.completed,
+        error=cell.error,
+        victim_solo_p99_ns=solo.latency(0.99, tenant=VICTIM),
+        victim_p99_ns=cell.latency(0.99, tenant=VICTIM),
+        victim_stats=victim_stats,
+        aggressor_stats=aggressor_stats,
+        overload_replies=cell.counter("service.kv.overload_replies"),
+        quota_rejects=cell.counter("nic.rvma.quota_rejects"),
+        retries=cell.counter("service.kv.client.retries"),
+        victim_deadline_misses=cell.counter(f"service.kv.tenant.deadline_misses.t{VICTIM}"),
+        puts_lost=cell.counter("nic.rvma.puts_lost"),
+        puts_lost_quota=cell.counter("nic.rvma.puts_lost_quota"),
+        events_executed=cell.sim.events_executed,
     )
-    return victim_p99, outcome
 
 
 def run_noisy_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
@@ -388,19 +272,6 @@ def run_noisy_sweep(seeds: tuple = (1, 2, 3), **kw) -> ExperimentResult:
 # ------------------------------------------------------------------- qos CLI
 
 
-@contextmanager
-def _engine_mode(mode: str) -> Iterator[None]:
-    """Pin the engine fast/plain mode for the run (CI matrixes over it)."""
-    from ..sim import engine
-
-    saved = engine.DEFAULT_FAST
-    engine.DEFAULT_FAST = mode == "fast"
-    try:
-        yield
-    finally:
-        engine.DEFAULT_FAST = saved
-
-
 def qos_main(argv: Optional[list[str]] = None) -> int:
     """``rvma-experiments qos``: run the noisy-neighbor cell or sweep."""
     parser = argparse.ArgumentParser(
@@ -429,15 +300,9 @@ def qos_main(argv: Optional[list[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    with _engine_mode(args.engine):
+    with engine_mode(args.engine):
         if args.sweep:
-            if args.seeds:
-                seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-            elif args.seed is not None:
-                seeds = (args.seed,)
-            else:
-                seeds = (1, 2, 3)
-            result = run_noisy_sweep(seeds=seeds)
+            result = run_noisy_sweep(seeds=seeds_of(args))
             print(result.to_text())
             for key, value in result.summary.items():
                 print(f"  {key}: {value}")

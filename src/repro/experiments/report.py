@@ -67,3 +67,15 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: s
     for row in cells:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def seeds_of(args) -> tuple:
+    """A sweep's seeds from parsed CLI flags.
+
+    ``--seeds`` (a comma list, where the subcommand has it) wins, then
+    one pinned ``--seed``, else the default 3-seed matrix.
+    """
+    listed = getattr(args, "seeds", "")
+    if listed:
+        return tuple(int(s) for s in listed.split(",") if s.strip())
+    return (args.seed,) if args.seed is not None else (1, 2, 3)

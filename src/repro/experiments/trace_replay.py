@@ -31,27 +31,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cluster.builder import Cluster
 from ..core.addressing import stable_hash64
-from ..core.api import RvmaApi
-from ..nic.rvma import RvmaNicConfig
-from ..observability import MetricsRegistry, RunReport
-from ..recovery.auditor import InvariantAuditor
+from ..observability import RunReport
+from ..scenarios.runner import engine_mode, run_channels, scrub_report
 from ..services import (
     ClientRobustnessConfig,
-    KvClient,
-    KvServer,
-    KvServerConfig,
     LoadGenerator,
     LoadStats,
-    QosConfig,
-    ShardMap,
     TenantDirectory,
     TenantSpec,
     WorkloadConfig,
 )
-from ..services.wire import OP_PUT, encode_request
-from ..sim.process import spawn
+from ..services.wire import OP_PUT, OP_SCAN, encode_request
 from ..workloads import (
     EXEMPLAR_NAMES,
     EXEMPLARS,
@@ -59,13 +50,11 @@ from ..workloads import (
     TraceRecorder,
     TraceReplayer,
     check_replay_safety,
-    exemplar_path,
     load_exemplar,
     value_for,
 )
 from ..workloads.replayer import _OP_CODES
-from .chaos import CHAOS_RELIABILITY
-from .qos_noisy import _engine_mode
+from .kv_cell import build_kv_cell, finite_capacity
 
 #: Per-op deadline budget for QoS replay cells (the fuzzer's value): a
 #: miss means a genuinely shed request, not a slow one.
@@ -99,8 +88,9 @@ def _tenant_directory(trace: Trace) -> TenantDirectory:
 
     Lowest non-zero tenant is the favoured victim (4x DRR weight,
     unmetered); every other non-zero tenant gets a modest admission
-    budget so overload is shed at the server door.  No NIC placement
-    quotas — replay keeps ``puts_lost == 0`` an unconditional invariant.
+    budget so overload is shed at the server door.  No tenant gets a NIC
+    placement quota, so the cell's quota admits every put and replay
+    keeps ``puts_lost == 0`` an unconditional invariant.
     """
     nonzero = [t for t in trace.tenants() if t != 0]
     specs = []
@@ -182,134 +172,89 @@ def replay_trace(
     clients_ids = trace.clients()
     if not clients_ids:
         raise ValueError("cannot replay an empty trace")
-    n_nodes = 1 + len(clients_ids)
-    cluster = Cluster.build(
-        n_nodes=n_nodes, topology=topology, nic_type="rvma", fidelity="flow",
-        seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
-    )
-    if observe:
-        cluster.sim.spans.enable()
-    auditor = InvariantAuditor().attach(cluster) if audit else None
-
     hot = hot_keys_of(trace, n_hot)
-    # Finite host serving capacity, the active_flash constants: without
-    # per-request CPU cost no dispatch queue forms and neither QoS nor
-    # the NIC serve path has anything to win.
-    server_config = KvServerConfig(
-        service_ns_per_request=800.0, service_ns_per_byte=0.2,
-        hot_keys=hot if active else (),
+    cell = build_kv_cell(
+        seed,
+        clients=[(1 + i, i, trace.tenant_of(tc)) for i, tc in enumerate(clients_ids)],
+        deadline_ns=sim_deadline_ns,
+        shards_per_node=shards_per_node,
+        server_config=finite_capacity(hot_keys=hot if active else ()),
+        tenants=_tenant_directory(trace) if qos else None,
+        # Identical client wiring in EVERY cell: max_retries=0 keeps the
+        # safety oracle's executed-once-or-not-at-all ambiguity model, and
+        # arming robustness unconditionally means the qos toggle changes
+        # only server-side policy, never the client reply path.
+        robustness=ClientRobustnessConfig(
+            max_retries=0, default_deadline_ns=TRACE_OP_DEADLINE_NS
+        ),
+        topology=topology,
+        spans=observe,
+        audit=audit,
     )
-    shard_map = ShardMap([0], shards_per_node=shards_per_node)
-    directory = _tenant_directory(trace) if qos else None
-    if directory is not None:
-        for i, tc in enumerate(clients_ids):
-            directory.assign_node(1 + i, trace.tenant_of(tc))
-        server = KvServer(
-            cluster.nodes[0], shard_map, server_config,
-            qos=QosConfig(), tenants=directory,
-        ).start()
-    else:
-        server = KvServer(cluster.nodes[0], shard_map, server_config).start()
-    # Identical client wiring in EVERY cell: max_retries=0 keeps the
-    # safety oracle's executed-once-or-not-at-all ambiguity model, and
-    # arming robustness unconditionally means the qos toggle changes
-    # only server-side policy, never the client reply path.
-    robustness = ClientRobustnessConfig(
-        max_retries=0, default_deadline_ns=TRACE_OP_DEADLINE_NS
-    )
-
-    clients = [
-        KvClient(
-            RvmaApi(cluster.nodes[1 + i]), shard_map, index=i,
-            max_put_bytes=server_config.chunk_bytes,
-            tenant_id=trace.tenant_of(tc), robustness=robustness,
-        )
-        for i, tc in enumerate(clients_ids)
-    ]
     replayer = TraceReplayer(
-        cluster.sim, clients, trace,
+        cell.sim, cell.clients, trace,
         deadline_ns=TRACE_OP_DEADLINE_NS,
         max_backlog=max_backlog,
     )
-    warmed = {key.decode("latin-1"): warm_value_for(key.decode("latin-1")) for key in hot}
+    # Warm phase: one PUT per hot key from the first client, before any
+    # trace row fires.  When active handlers are armed the host syncs
+    # each value into the NIC view, so crowd GETs find a servable entry
+    # — and the identical puts run with active off.
+    warm = [(OP_PUT, key, warm_value_for(key.decode("latin-1"))) for key in hot]
+    warmed = {key.decode("latin-1"): value for _op, key, value in warm}
 
-    def master():
-        for client in clients:
-            yield from client.open()
-        # Warm phase: one PUT per hot key from the first client, before
-        # any trace row fires.  When active handlers are armed the host
-        # syncs each value into the NIC view, so crowd GETs find a
-        # servable entry — and the identical puts run with active off.
-        warm = [(OP_PUT, key, warm_value_for(key.decode("latin-1"))) for key in hot]
+    def replay():
         if warm:
-            yield from clients[0].execute_batch(warm)
+            yield from cell.clients[0].execute_batch(warm)
         yield from replayer.run()
-        # Drain grace before shard streams close (stale-late idiom).
-        yield 100_000.0
-        server.stop()
 
-    proc = spawn(cluster.sim, master(), "trace-master")
-    error: Optional[str] = None
-    try:
-        cluster.sim.run(until=sim_deadline_ns)
-    except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    if error is None and not proc.finished:
-        error = f"replay did not finish by sim_deadline_ns={sim_deadline_ns:,.0f}"
+    cell.run(replay(), drain=True)
 
-    registry = MetricsRegistry.collect(cluster.sim)
-    counters = registry.counters
-    latency = registry.histograms.get("service.kv.request_latency_ns")
     tenant_p99 = {}
     tenant_shed = {}
     for tenant in trace.tenants():
-        h = registry.histograms.get(f"service.kv.tenant.request_latency_ns.t{tenant}")
+        h = cell.registry.histograms.get(f"service.kv.tenant.request_latency_ns.t{tenant}")
         if h is not None and h.count:
             tenant_p99[tenant] = h.percentile(0.99)
-        shed = counters.get(f"service.kv.tenant.shed.t{tenant}", 0)
-        tenant_shed[tenant] = shed
+        tenant_shed[tenant] = cell.counter(f"service.kv.tenant.shed.t{tenant}")
 
     failures = (
         check_replay_safety(trace, replayer.outcomes, warmed)
-        if check_safety and error is None
+        if check_safety and cell.error is None
         else []
     )
     report = None
     if observe:
-        from ..scenarios.runner import scrub_report
-
-        report = scrub_report(RunReport.collect(
-            cluster,
-            meta={
-                "harness": "trace-replay",
-                "trace_id": trace.trace_id,
-                "seed": seed,
-                "qos": qos,
-                "active": active,
-            },
-        ).to_dict())
+        report = scrub_report(cell.report({
+            "harness": "trace-replay",
+            "trace_id": trace.trace_id,
+            "seed": seed,
+            "qos": qos,
+            "active": active,
+        }).to_dict())
+    auditor = cell.auditor
     return ReplayCell(
-        completed=proc.finished,
-        error=error,
+        completed=cell.completed,
+        error=cell.error,
         stats=replayer.stats,
         outcome_stream=replayer.outcome_stream(),
         outcome_digest=replayer.outcome_digest(),
         safety_failures=failures,
-        p99_ns=latency.percentile(0.99) if latency is not None else float("nan"),
+        p99_ns=cell.latency(0.99),
         tenant_p99_ns=tenant_p99,
         tenant_shed=tenant_shed,
-        requests=counters.get("service.kv.requests", 0),
-        served=counters.get("nic.rvma.active.served", 0),
-        handler_served=counters.get("service.kv.client.handler_served", 0),
-        overload_replies=counters.get("service.kv.overload_replies", 0),
-        puts_lost=counters.get("nic.rvma.puts_lost", 0),
-        puts_lost_quota=counters.get("nic.rvma.puts_lost_quota", 0),
-        gave_up=counters.get("transport.gave_up", 0),
+        requests=cell.counter("service.kv.requests"),
+        served=cell.counter("nic.rvma.active.served"),
+        handler_served=cell.counter("service.kv.client.handler_served"),
+        overload_replies=cell.counter("service.kv.overload_replies"),
+        puts_lost=cell.counter("nic.rvma.puts_lost"),
+        puts_lost_quota=cell.counter("nic.rvma.puts_lost_quota"),
+        gave_up=cell.counter("transport.gave_up"),
         audit_ok=auditor.ok if auditor is not None else True,
         audit_violations=len(auditor.violations) if auditor is not None else 0,
-        events_executed=cluster.sim.events_executed,
+        events_executed=cell.sim.events_executed,
         report=report,
-        cluster=cluster,
+        cluster=cell.cluster,
     )
 
 
@@ -421,39 +366,19 @@ def record_trace(
     committed trace documents exactly how to regenerate itself.
     """
     workload = workload or WorkloadConfig(mode="open")
-    n_nodes = 1 + len(client_tenants)
-    cluster = Cluster.build(
-        n_nodes=n_nodes, topology=topology, nic_type="rvma", fidelity="flow",
-        seed=seed, nic_config=RvmaNicConfig(reliability=CHAOS_RELIABILITY),
+    cell = build_kv_cell(
+        seed,
+        clients=[(1 + i, i, tenant) for i, tenant in enumerate(client_tenants)],
+        deadline_ns=sim_deadline_ns,
+        shards_per_node=shards_per_node,
+        server_config=finite_capacity(),
+        topology=topology,
     )
-    server_config = KvServerConfig(
-        service_ns_per_request=800.0, service_ns_per_byte=0.2
-    )
-    shard_map = ShardMap([0], shards_per_node=shards_per_node)
-    server = KvServer(cluster.nodes[0], shard_map, server_config).start()
-    clients = [
-        KvClient(
-            RvmaApi(cluster.nodes[1 + i]), shard_map, index=i,
-            max_put_bytes=server_config.chunk_bytes, tenant_id=tenant,
-        )
-        for i, tenant in enumerate(client_tenants)
-    ]
-    recorder = TraceRecorder(cluster.sim).attach(*clients)
-    gen = LoadGenerator(cluster.sim, clients, workload)
-
-    def master():
-        for client in clients:
-            yield from client.open()
-        yield from gen.run()
-        yield 100_000.0
-        server.stop()
-
-    proc = spawn(cluster.sim, master(), "trace-record")
-    cluster.sim.run(until=sim_deadline_ns)
-    if not proc.finished:
-        raise RuntimeError(
-            f"recording stalled (deadline {sim_deadline_ns:,.0f} ns)"
-        )
+    recorder = TraceRecorder(cell.sim).attach(*cell.clients)
+    gen = LoadGenerator(cell.sim, cell.clients, workload)
+    cell.run(gen.run(), drain=True)
+    if not cell.completed:
+        raise RuntimeError(f"recording failed: {cell.error}") from cell.exception
     from dataclasses import asdict
 
     trace = recorder.finish(provenance={
@@ -485,59 +410,26 @@ def replay_trace_frames(
     ``(delivered, counts, stalled)``; two backends replaying the same
     trace must produce identical delivered bytes and counts.
     """
-    from ..motifs import RdmaProtocol, RvmaProtocol, UcxProtocol
-    from ..network.routing import RoutingMode
-
-    factories = {
-        "rvma": lambda: RvmaProtocol(mode=RoutingMode.STATIC),
-        "verbs": lambda: RdmaProtocol(mode=RoutingMode.STATIC),
-        "ucx": lambda: UcxProtocol(mode=RoutingMode.STATIC),
-    }
-    proto = factories[backend]()
     clients_ids = trace.clients()
     frames: dict = {tc: [] for tc in clients_ids}
     for index, row in enumerate(trace.rows):
         value = value_for(index, row.key, row.value_size) if row.op == "put" else b""
-        op_code = _OP_CODES.get(row.op)
-        if op_code is None:  # scan
-            from ..services.wire import OP_SCAN
-
-            op_code = OP_SCAN
         frames[row.client].append(encode_request(
-            op_code, row.client, index + 1, row.key_bytes(), value,
+            _OP_CODES.get(row.op, OP_SCAN), row.client, index + 1, row.key_bytes(), value,
             tenant=row.tenant,
         ))
     max_msg = max((len(f) for fs in frames.values() for f in fs), default=64)
-    cluster = Cluster.build(
-        n_nodes=1 + len(clients_ids), topology=topology,
-        nic_type=proto.nic_type, fidelity="flow", seed=seed,
+    client_of = {1 + i: tc for i, tc in enumerate(clients_ids)}
+    delivered, counts, stalled, _cluster = run_channels(
+        backend, {(node, 0): frames[tc] for node, tc in client_of.items()}, max_msg,
+        n_nodes=1 + len(clients_ids), topology=topology, seed=seed,
+        deadline_ns=TRACE_SIM_DEADLINE_NS,
     )
-    delivered: dict = {}
-    counts: dict = {}
-
-    def receiver(i, tc, tag):
-        n_msgs = len(frames[tc])
-        ep = yield from proto.recv_setup(cluster.nodes[0], 1 + i, tag, max_msg, slots=n_msgs)
-        for k in range(n_msgs):
-            want = len(frames[tc][k])
-            delivered[(tc, k)] = (yield from ep.recv_data(want))
-        counts[tc] = ep.received
-
-    def sender(i, tc, tag):
-        ep = yield from proto.send_setup(cluster.nodes[1 + i], 0, tag, max_msg)
-        for frame in frames[tc]:
-            yield from ep.send(len(frame), frame)
-
-    procs = []
-    for i, tc in enumerate(clients_ids):
-        if not frames[tc]:
-            continue
-        tag = 100 + i
-        procs.append(spawn(cluster.sim, receiver(i, tc, tag), f"tr-r{i}"))
-        procs.append(spawn(cluster.sim, sender(i, tc, tag), f"tr-s{i}"))
-    cluster.sim.run(until=TRACE_SIM_DEADLINE_NS)
-    stalled = not all(p.finished for p in procs)
-    return delivered, counts, stalled
+    return (
+        {(client_of[src], k): data for (src, _dst, k), data in delivered.items()},
+        {client_of[src]: n for (src, _dst), n in counts.items()},
+        stalled,
+    )
 
 
 # ------------------------------------------------------------------- exemplars
@@ -713,7 +605,7 @@ def trace_main(argv: Optional[list] = None) -> int:
 
     if args.cmd == "replay":
         trace = _load_trace_arg(args.trace)
-        with _engine_mode(args.engine):
+        with engine_mode(args.engine):
             cell = replay_trace(
                 trace, seed=args.seed, qos=args.qos, active=args.active,
                 audit=not args.no_audit, observe=args.report_out is not None,
@@ -737,7 +629,7 @@ def trace_main(argv: Optional[list] = None) -> int:
 
     if args.cmd == "compare":
         trace = _load_trace_arg(args.trace)
-        with _engine_mode(args.engine):
+        with engine_mode(args.engine):
             out = compare_trace(trace, seed=args.seed,
                                 observe=args.report_out is not None)
         print(f"compare {out.trace_id} seed={out.seed} (identical offered load: "
@@ -757,8 +649,6 @@ def trace_main(argv: Optional[list] = None) -> int:
             f"invariants: {'ok' if out.invariants_ok else 'VIOLATED'}"
         )
         if args.report_out:
-            from ..scenarios.runner import scrub_report
-
             reports = [
                 RunReport.collect(cell.cluster, meta={
                     "harness": "trace-compare", "cell": label,

@@ -35,17 +35,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..cluster.builder import Cluster
-from ..core.api import RvmaApi
 from ..faults.chaos import ChaosEvent, ChaosSchedule
-from ..faults.injectors import FaultInjector
-from ..network.config import NetworkConfig
 from ..network.routing import RoutingMode
-from ..nic.rvma import RvmaNicConfig
-from ..observability import RunReport
 from ..nic.active import AtomicWordHandler
-from ..services import KvClient, KvServer, KvServerConfig, ShardMap
+from ..observability import RunReport
+from ..services import KvServerConfig
 from ..services.wire import STATUS_NOT_FOUND, STATUS_OK
-from ..sim.process import AllOf, spawn
+from ..sim.process import spawn
 from .schema import Scenario
 
 #: Engine-run ceilings: a stalled scenario must terminate, not spin.
@@ -112,7 +108,7 @@ class ScenarioOutcome:
 
 @contextmanager
 def engine_mode(mode: str) -> Iterator[None]:
-    """Pin the simulator engine mode (fast/plain) for one scenario."""
+    """Pin the simulator engine mode (fast/plain) for one scenario or CLI run."""
     import repro.sim.engine as engine
 
     saved = engine.DEFAULT_FAST
@@ -160,13 +156,23 @@ def _chaos_schedule(scenario: Scenario) -> ChaosSchedule:
     )
 
 
-def _stamp_scenario_stats(cluster: Cluster, scenario: Scenario, failed: bool) -> None:
+def _scenario_report(
+    cluster: Cluster, scenario: Scenario, fp: FailureFingerprint, **meta
+) -> RunReport:
+    """Stamp the scenario counters on *cluster* and snapshot its report."""
     stats = cluster.sim.stats
     stats.counter("scenario.runs").add()
     stats.counter("scenario.faults_scheduled").add(len(scenario.fault_events))
     stats.counter("scenario.workload_ops").add(scenario.workload_size())
-    if failed:
+    if fp:
         stats.counter("scenario.failures").add()
+    return RunReport.collect(cluster, meta={
+        "harness": "scenario-fuzz",
+        "scenario_id": scenario.scenario_id,
+        "scenario_seed": scenario.seed,
+        **meta,
+        "fingerprint": fp.describe(),
+    })
 
 
 def _audit_kinds(audit_report: Optional[dict]) -> list:
@@ -347,10 +353,8 @@ def _kv_tenancy(scenario: Scenario):
 
 
 def _run_kv(scenario: Scenario, trace: bool) -> ScenarioOutcome:
-    from ..experiments.chaos import CHAOS_RELIABILITY
-    from ..services import ClientRobustnessConfig, install_placement_quota
-    from ..services.kv import REPLY_MAILBOX_BASE, REQUEST_MAILBOX_BASE
-    from ..services.qos import QosConfig
+    from ..experiments.kv_cell import build_kv_cell
+    from ..services import ClientRobustnessConfig
 
     scripts = scenario.workload["scripts"]
     shards_per_node = int(scenario.workload.get("shards_per_node", 2))
@@ -370,58 +374,36 @@ def _run_kv(scenario: Scenario, trace: bool) -> ScenarioOutcome:
             for rank in range(len(scripts))
             for k in range(n_hot)
         )
-    server_config = KvServerConfig(hot_keys=hot_keys)
     attach_word = bool(scenario.workload.get("handler_word"))
     directory, client_tenants = _kv_tenancy(scenario)
-    cluster = Cluster.build(
-        n_nodes=scenario.n_nodes,
-        topology=scenario.topology,
-        nic_type="rvma",
-        fidelity="flow",
-        seed=scenario.cluster_seed,
-        nic_config=RvmaNicConfig(
-            reliability=CHAOS_RELIABILITY if scenario.reliability else None
-        ),
-        net_config=NetworkConfig(routing=_ROUTING[scenario.routing]),
-    )
-    _chaos_schedule(scenario).apply(FaultInjector(cluster))
-    if trace:
-        cluster.sim.spans.enable()
-    scenario_span = cluster.sim.spans.begin("scenario", "kv", id=scenario.scenario_id)
-
-    shard_map = ShardMap([0], shards_per_node=shards_per_node)
-    if directory is not None:
-        for rank, tenant in enumerate(client_tenants):
-            directory.assign_node(1 + rank, tenant)
-        server = KvServer(
-            cluster.nodes[0], shard_map, config=server_config,
-            qos=QosConfig(), tenants=directory,
-        ).start()
-        install_placement_quota(
-            cluster.nodes[0], directory,
-            mailbox_lo=REQUEST_MAILBOX_BASE, mailbox_hi=REPLY_MAILBOX_BASE,
-        )
+    cell = build_kv_cell(
+        scenario.cluster_seed,
+        clients=[(1 + rank, rank, tenant) for rank, tenant in enumerate(client_tenants)],
+        deadline_ns=KV_DEADLINE_NS,
+        shards_per_node=shards_per_node,
+        server_config=KvServerConfig(hot_keys=hot_keys),
+        tenants=directory,
         # max_retries=0: each frame is sent exactly once, so a request
         # either executed once or not at all — the precise ambiguity the
         # possible-state oracle models.  Retries would add duplicate-
         # execution ambiguity without widening coverage.
-        robustness = ClientRobustnessConfig(
-            max_retries=0, default_deadline_ns=KV_OP_DEADLINE_NS
-        )
-    else:
-        server = KvServer(cluster.nodes[0], shard_map, config=server_config).start()
-        robustness = None
+        robustness=(
+            ClientRobustnessConfig(max_retries=0, default_deadline_ns=KV_OP_DEADLINE_NS)
+            if directory is not None
+            else None
+        ),
+        topology=scenario.topology,
+        routing=_ROUTING[scenario.routing],
+        reliable=scenario.reliability,
+        n_nodes=scenario.n_nodes,
+        chaos=_chaos_schedule(scenario),
+        spans=trace,
+    )
+    scenario_span = cell.sim.spans.begin("scenario", "kv", id=scenario.scenario_id)
     failures: list = []
+    handler_failures: list = []
 
-    def client_proc(rank: int, script):
-        client = KvClient(
-            RvmaApi(cluster.nodes[1 + rank]),
-            shard_map,
-            index=rank,
-            tenant_id=client_tenants[rank],
-            robustness=robustness,
-        )
-        yield from client.open()
+    def client_proc(rank: int, client, script):
         if attach_word:
             # Handler-mix dimension: an atomic word on the reply mailbox
             # counts reply epochs NIC-side; losing the binding (or the
@@ -453,65 +435,36 @@ def _run_kv(scenario: Scenario, trace: bool) -> ScenarioOutcome:
             if word is None:
                 handler_failures.append(f"rank{rank}: reply-mailbox word handler lost")
 
-    handler_failures: list = []
-    procs = [
-        spawn(cluster.sim, client_proc(rank, script), f"fuzz-kv-{rank}")
-        for rank, script in enumerate(scripts)
-    ]
-
-    def stopper():
-        yield AllOf([p.done_future for p in procs])
-        server.stop()
-
-    stop = spawn(cluster.sim, stopper(), "fuzz-kv-stop")
-    error: Optional[str] = None
-    try:
-        cluster.sim.run(until=KV_DEADLINE_NS)
-    except Exception as exc:
-        error = f"exception:{type(exc).__name__}"
+    cell.run(drivers=[
+        ([client], client_proc(rank, client, script))
+        for rank, (client, script) in enumerate(zip(cell.clients, scripts))
+    ])
 
     components = []
-    if error is not None:
-        components.append(error)
-    elif not all(p.finished for p in [*procs, stop]):
+    if cell.exception is not None:
+        components.append(f"exception:{type(cell.exception).__name__}")
+    elif cell.stalled:
         components.append("stall")
     if failures:
         components.append("kv:linearizability")
     if handler_failures:
         components.append("active:word_lost")
-    # Canonical (aggregated) names: the per-component flat counters are
-    # rvma<N>.puts_lost / rel<N>.rel_gave_up, so integrity must read
-    # through the registry, not sim.stats directly.
-    from ..observability import MetricsRegistry
-
-    counters = MetricsRegistry.collect(cluster.sim).counters
-    if counters.get("transport.gave_up", 0):
+    if cell.counter("transport.gave_up"):
         components.append("invariant:gave_up")
-    lost = counters.get("nic.rvma.puts_lost", 0)
+    lost = cell.counter("nic.rvma.puts_lost")
     # Quota rejects are reject-into-counter by design (terminal at the
     # sender NIC, client deadline is the recovery path) — only losses
     # beyond them indicate the transport actually dropped data.
-    if lost - counters.get("nic.rvma.puts_lost_quota", 0) > 0 and scenario.reliability:
+    if lost - cell.counter("nic.rvma.puts_lost_quota") > 0 and scenario.reliability:
         components.append("invariant:puts_lost")
     fp = FailureFingerprint.collect(components)
-    cluster.sim.spans.end(scenario_span, completed=not fp)
-    _stamp_scenario_stats(cluster, scenario, bool(fp))
-    report = RunReport.collect(
-        cluster,
-        meta={
-            "harness": "scenario-fuzz",
-            "scenario_id": scenario.scenario_id,
-            "scenario_seed": scenario.seed,
-            "workload": "kv",
-            "fingerprint": fp.describe(),
-        },
-    )
+    cell.sim.spans.end(scenario_span, completed=not fp)
     return ScenarioOutcome(
         scenario=scenario,
         failed=bool(fp),
         fingerprint=fp,
         details={"kv_failures": failures[:10], "clients": len(scripts)},
-        run_report=report,
+        run_report=_scenario_report(cell.cluster, scenario, fp, workload="kv"),
     )
 
 
@@ -524,64 +477,73 @@ def _diff_payload(seed: int, src: int, dst: int, i: int, max_msg: int) -> bytes:
     return bytes((base + j) % 256 for j in range(size))
 
 
-def _run_diff_backend(scenario: Scenario, backend: str):
-    """One backend over the pinned channel matrix.
+def run_channels(
+    backend: str,
+    channels: dict,
+    max_msg: int,
+    n_nodes: int,
+    topology: str,
+    seed: int,
+    deadline_ns: float,
+) -> tuple:
+    """Push per-channel payload streams through one wire backend.
 
-    Returns ``(delivered, counts, stalled, cluster)``; *cluster* lets the
-    caller collect the primary backend's observability report.
+    *channels* maps ``(src, dst)`` to that channel's payloads in send
+    order; every channel gets a receiver on *dst* and a sender on *src*.
+    Returns ``(delivered, counts, stalled, cluster)``: ``delivered[(src,
+    dst, i)]`` is the i-th payload as received, ``counts[(src, dst)]``
+    the receiver's message count, and *cluster* lets the caller collect
+    an observability report.  Backends agree when delivered bytes and
+    counts are identical.
     """
     from ..motifs import RdmaProtocol, RvmaProtocol, UcxProtocol
 
-    factories = {
-        "rvma": lambda: RvmaProtocol(mode=RoutingMode.STATIC),
-        "verbs": lambda: RdmaProtocol(mode=RoutingMode.STATIC),
-        "ucx": lambda: UcxProtocol(mode=RoutingMode.STATIC),
-    }
-    proto = factories[backend]()
-    max_msg = int(scenario.workload.get("max_msg", 512))
-    channels = [(int(s), int(d), int(n)) for s, d, n in scenario.workload["channels"]]
+    protocols = {"rvma": RvmaProtocol, "verbs": RdmaProtocol, "ucx": UcxProtocol}
+    proto = protocols[backend](mode=RoutingMode.STATIC)
     cluster = Cluster.build(
-        n_nodes=scenario.n_nodes,
-        topology=scenario.topology,
-        nic_type=proto.nic_type,
-        fidelity="flow",
-        seed=scenario.cluster_seed,
+        n_nodes=n_nodes, topology=topology, nic_type=proto.nic_type,
+        fidelity="flow", seed=seed,
     )
     delivered: dict = {}
     counts: dict = {}
-    seed = scenario.cluster_seed
-    tags = {(s, d): 100 + k for k, (s, d, _n) in enumerate(sorted(channels))}
 
-    def receiver(src, dst, tag, n_msgs):
-        ep = yield from proto.recv_setup(cluster.nodes[dst], src, tag, max_msg, slots=n_msgs)
-        for i in range(n_msgs):
-            want = len(_diff_payload(seed, src, dst, i, max_msg))
-            delivered[(src, dst, i)] = (yield from ep.recv_data(want))
+    def receiver(src, dst, tag, payloads):
+        ep = yield from proto.recv_setup(cluster.nodes[dst], src, tag, max_msg, slots=len(payloads))
+        for i, payload in enumerate(payloads):
+            delivered[(src, dst, i)] = (yield from ep.recv_data(len(payload)))
         counts[(src, dst)] = ep.received
 
-    def sender(src, dst, tag, n_msgs):
+    def sender(src, dst, tag, payloads):
         ep = yield from proto.send_setup(cluster.nodes[src], dst, tag, max_msg)
-        for i in range(n_msgs):
-            payload = _diff_payload(seed, src, dst, i, max_msg)
+        for payload in payloads:
             yield from ep.send(len(payload), payload)
 
     procs = []
-    for src, dst, n_msgs in sorted(channels):
-        tag = tags[(src, dst)]
-        procs.append(spawn(cluster.sim, receiver(src, dst, tag, n_msgs), f"r{src}-{dst}"))
-        procs.append(spawn(cluster.sim, sender(src, dst, tag, n_msgs), f"s{src}-{dst}"))
-    cluster.sim.run(until=DIFF_DEADLINE_NS)
+    for k, (src, dst) in enumerate(sorted(channels)):
+        payloads = channels[(src, dst)]
+        procs.append(spawn(cluster.sim, receiver(src, dst, 100 + k, payloads), f"r{src}-{dst}"))
+        procs.append(spawn(cluster.sim, sender(src, dst, 100 + k, payloads), f"s{src}-{dst}"))
+    cluster.sim.run(until=deadline_ns)
     stalled = not all(p.finished for p in procs)
     return delivered, counts, stalled, cluster
 
 
 def _run_differential(scenario: Scenario, trace: bool) -> ScenarioOutcome:
+    max_msg = int(scenario.workload.get("max_msg", 512))
+    seed = scenario.cluster_seed
+    channels = {
+        (int(s), int(d)): [_diff_payload(seed, int(s), int(d), i, max_msg) for i in range(int(n))]
+        for s, d, n in scenario.workload["channels"]
+    }
     results = {}
     primary_cluster = None
     components = []
     try:
         for backend in scenario.compare:
-            delivered, counts, stalled, cluster = _run_diff_backend(scenario, backend)
+            delivered, counts, stalled, cluster = run_channels(
+                backend, channels, max_msg, scenario.n_nodes, scenario.topology,
+                seed, DIFF_DEADLINE_NS,
+            )
             results[backend] = (delivered, counts)
             if stalled:
                 components.append("stall")
@@ -616,17 +578,9 @@ def _run_differential(scenario: Scenario, trace: bool) -> ScenarioOutcome:
 
     report = None
     if primary_cluster is not None:
-        _stamp_scenario_stats(primary_cluster, scenario, bool(fp))
-        report = RunReport.collect(
-            primary_cluster,
-            meta={
-                "harness": "scenario-fuzz",
-                "scenario_id": scenario.scenario_id,
-                "scenario_seed": scenario.seed,
-                "workload": "differential",
-                "backends": list(scenario.compare),
-                "fingerprint": fp.describe(),
-            },
+        report = _scenario_report(
+            primary_cluster, scenario, fp,
+            workload="differential", backends=list(scenario.compare),
         )
     return ScenarioOutcome(
         scenario=scenario,
@@ -694,18 +648,9 @@ def _run_trace(scenario: Scenario, trace: bool) -> ScenarioOutcome:
 
     report = None
     if cell.cluster is not None:
-        _stamp_scenario_stats(cell.cluster, scenario, bool(fp))
-        report = RunReport.collect(
-            cell.cluster,
-            meta={
-                "harness": "scenario-fuzz",
-                "scenario_id": scenario.scenario_id,
-                "scenario_seed": scenario.seed,
-                "workload": "trace",
-                "trace_ref": workload["trace_ref"],
-                "trace_id": exemplar.trace_id,
-                "fingerprint": fp.describe(),
-            },
+        report = _scenario_report(
+            cell.cluster, scenario, fp, workload="trace",
+            trace_ref=workload["trace_ref"], trace_id=exemplar.trace_id,
         )
     return ScenarioOutcome(
         scenario=scenario,

@@ -217,8 +217,12 @@ class Scenario:
             channels = self.workload.get("channels") or ()
             if not channels:
                 raise ScenarioError("differential scenarios need channels")
+            pairs = set()
             for row in channels:
                 src, dst, n_msgs = row
+                if (src, dst) in pairs:
+                    raise ScenarioError("differential channels repeat a (src, dst) pair")
+                pairs.add((src, dst))
                 if src == dst:
                     raise ScenarioError("differential channel src == dst")
                 if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):

@@ -123,6 +123,8 @@ def test_validation_rejects_malformed_kv_and_differential():
         Scenario(**{**diff, "workload": {"channels": [[2, 2, 1]]}}).validate()
     with pytest.raises(ScenarioError, match="outside"):
         Scenario(**{**diff, "workload": {"channels": [[9, 0, 1]]}}).validate()
+    with pytest.raises(ScenarioError, match="repeat a"):
+        Scenario(**{**diff, "workload": {"channels": [[1, 0, 2], [1, 0, 3]]}}).validate()
 
 
 def _kv_v2_scenario(**overrides):
