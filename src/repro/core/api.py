@@ -308,15 +308,14 @@ class RvmaApi:
     # ------------------------------------------------------------------ observability
 
     def metrics(self, prefix: str = ""):
-        """Federated hierarchical metrics for this node's simulation.
+        """Hierarchical metrics for this node's simulation.
 
-        Returns a :class:`repro.observability.MetricsRegistry` snapshot
-        aggregating every component's flat counters/summaries/histograms
-        under canonical names (``nic.rvma.bytes_placed``,
-        ``transport.retransmits``, …).  Filter with *prefix*
-        (e.g. ``api.metrics("transport").flat()``) — the registry itself
-        always holds everything; *prefix* applies to :meth:`flat`-style
-        reads, so it is accepted here for convenience and forwarded.
+        Without *prefix*, returns a :class:`repro.observability.MetricsRegistry`
+        snapshot of every counter/summary/histogram under its canonical
+        name (``nic.rvma.bytes_placed``, ``transport.retransmits``, …).
+        With *prefix*, returns the flat name -> value dict of the metrics
+        under it: ``api.metrics("transport")`` equals
+        ``api.metrics().flat("transport")``.
         """
         from repro.observability import MetricsRegistry
 

@@ -111,23 +111,29 @@ def calibrate(reps: int = 60) -> float:
     Pure Python, engine-free, deterministic work — the ratio of two
     hosts' calibration numbers approximates the ratio of their
     single-core Python throughput, which is what events/sec scales with.
+    The loop is timed 5 times and the fastest rate kept: one timing
+    swings with host noise, and the slowest repeats carry that noise.
     """
 
     def bump(x: int) -> int:
         return x + 1
 
-    t0 = time.perf_counter()
-    ops = 0
-    for _ in range(reps):
-        h: list = []
-        push, pop = heapq.heappush, heapq.heappop
-        for i in range(400):
-            push(h, ((i * 7) % 31, i, bump))
-        while h:
-            _, i, fn = pop(h)
-            ops = fn(ops)
-    dt = time.perf_counter() - t0
-    return ops / dt if dt > 0 else 0.0
+    best = 0.0
+    push, pop = heapq.heappush, heapq.heappop
+    for _ in range(5):
+        t0 = time.perf_counter()
+        ops = 0
+        for _ in range(reps):
+            h: list = []
+            for i in range(400):
+                push(h, ((i * 7) % 31, i, bump))
+            while h:
+                _, i, fn = pop(h)
+                ops = fn(ops)
+        dt = time.perf_counter() - t0
+        if dt > 0:
+            best = max(best, ops / dt)
+    return best
 
 
 def _registry_metrics(sim, prefixes: tuple[str, ...]) -> dict:

@@ -12,7 +12,7 @@ invariants:
   fault-free run of the same seed (retransmission is invisible above
   the transport);
 * **bounded recovery** — retransmissions stay within the per-message
-  retry budget and no message is abandoned (``rel_gave_up == 0``);
+  retry budget and no message is abandoned (``transport.gave_up == 0``);
 * **no silent loss** — ``puts_lost`` and friends stay zero.
 
 With ``n_crashes > 0`` the schedule additionally crash-stops nodes
@@ -90,20 +90,16 @@ def _build_motif(name: str, cluster: Cluster, params: Optional[dict] = None) -> 
     raise ValueError(f"unknown chaos motif {name!r}")
 
 
-def _counter_total(cluster: Cluster, suffix: str) -> int:
-    counters = cluster.sim.stats.counters()
-    return sum(v for k, v in counters.items() if k.endswith(suffix))
-
-
 def _fingerprint(name: str, motif: Motif, cluster: Cluster) -> tuple:
     """What must be identical between a chaotic and a fault-free run."""
     if name == "allreduce":
         return ("allreduce", tuple(sorted((r, tuple(v)) for r, v in motif.reduced.items())))
     # Incast/halo: every byte placed exactly once, every epoch completed.
+    counters = cluster.sim.stats.counters()
     return (
         name,
-        _counter_total(cluster, ".bytes_placed"),
-        _counter_total(cluster, ".epochs_completed"),
+        counters.get("nic.rvma.bytes_placed", 0),
+        counters.get("nic.rvma.epochs_completed", 0),
     )
 
 
@@ -317,10 +313,10 @@ def run_motif_under_chaos(
         error=error,
         elapsed_ns=result.elapsed if result is not None else float("nan"),
         deliveries_dropped=cluster.fabric.deliveries_dropped,
-        retransmits=counters.get("reliability.rel_retransmits", 0),
-        acks=counters.get("reliability.rel_acks_tx", 0),
-        dups_suppressed=counters.get("reliability.rel_dups_suppressed", 0),
-        gave_up=counters.get("reliability.rel_gave_up", 0),
+        retransmits=counters.get("transport.retransmits", 0),
+        acks=counters.get("transport.acks_tx", 0),
+        dups_suppressed=counters.get("transport.dups_suppressed", 0),
+        gave_up=counters.get("transport.gave_up", 0),
         identical_to_clean=identical,
         schedule=schedule.describe(),
         hottest_flows=hottest_retransmit_flows(cluster, k=5),
@@ -329,8 +325,8 @@ def run_motif_under_chaos(
         replay_holes=len(manager.report.replay_holes) if manager is not None else 0,
         audit_violations=len(auditor.violations) if auditor is not None else None,
         audit_report=auditor.report() if auditor is not None else None,
-        put_window_evictions=_counter_total(cluster, ".put_window_evictions"),
-        put_giveups=_counter_total(cluster, ".put_giveups"),
+        put_window_evictions=counters.get("nic.rvma.put_window_evictions", 0),
+        put_giveups=counters.get("nic.rvma.put_giveups", 0),
         run_report=(
             RunReport.collect(
                 cluster,

@@ -22,6 +22,7 @@ from ..reliability.transport import ReliabilityConfig, ReliableTransport
 from ..sim.component import Component
 from ..sim.engine import Simulator
 from ..sim.process import Future
+from ..sim.stats import Counter
 from .headers import CONTROL_BYTES
 
 
@@ -53,6 +54,11 @@ class NicConfig:
 class BaseNic(Component):
     """A NIC attached to one node's memory and to the fabric."""
 
+    #: Canonical metric group of this NIC kind: :meth:`stat` counters
+    #: register as ``<metric_group>.<suffix>``, one counter shared by
+    #: every NIC of the kind.
+    metric_group = "nic.base"
+
     def __init__(
         self,
         sim: Simulator,
@@ -69,6 +75,9 @@ class BaseNic(Component):
         self.config = config or NicConfig()
         self.pcie = PcieBus(self.config.pcie)
         self._dispatch: dict[type, Callable[[Delivery], None]] = {}
+        #: suffix -> Counter; avoids the f-string + registry lookup on
+        #: every stat() call (NIC fast paths bump several per packet).
+        self._stat_cache: dict[str, Counter] = {}
         #: Set by fault injection: a failed NIC drops all traffic and
         #: refuses host commands.
         self.failed = False
@@ -94,6 +103,13 @@ class BaseNic(Component):
             self.detector = FailureDetector(self, self.transport, self.config.reliability)
         fabric.attach(node_id, self._on_delivery)
 
+    def stat(self, suffix: str) -> Counter:
+        """This NIC kind's counter, e.g. ``nic.rvma.bytes_placed``."""
+        c = self._stat_cache.get(suffix)
+        if c is None:
+            c = self._stat_cache[suffix] = self.sim.stats.counter(f"{self.metric_group}.{suffix}")
+        return c
+
     # --- receive path ------------------------------------------------------------
 
     def register_handler(self, header_type: type, fn: Callable[[Delivery], None]) -> None:
@@ -102,7 +118,7 @@ class BaseNic(Component):
     def fail(self) -> None:
         """Simulate node death: all subsequent traffic is dropped."""
         self.failed = True
-        self.stat("failed").add()
+        self.sim.stats.counter("recovery.failed").add()
 
     def crash(self) -> None:
         """Crash-stop: drop traffic *and* atomically destroy the NIC's
@@ -116,7 +132,7 @@ class BaseNic(Component):
         """
         self.failed = True
         self.incarnation += 1
-        self.stat("crashes").add()
+        self.sim.stats.counter("recovery.crashes").add()
         self._destroy_volatile_state()
         if self.transport is not None:
             # The old flows died with the NIC: silence their timers so
@@ -135,7 +151,7 @@ class BaseNic(Component):
         if not self.failed:
             return
         self.failed = False
-        self.stat("restarts").add()
+        self.sim.stats.counter("recovery.restarts").add()
 
     def _destroy_volatile_state(self) -> None:
         """Subclass hook: wipe NIC-resident state lost in a crash."""
@@ -189,7 +205,7 @@ class BaseNic(Component):
         Subclasses fail outstanding operations targeting the peer so
         software blocks on a completion, not forever.
         """
-        self.stat("peer_failures_seen").add()
+        self.sim.stats.counter("detector.peer_failures_seen").add()
 
     # --- transmit path -------------------------------------------------------------
 

@@ -75,6 +75,8 @@ class RdmaError(RuntimeError):
 class RdmaNic(BaseNic):
     """RDMA-capable NIC bound to one node."""
 
+    metric_group = "nic.rdma"
+
     def __init__(
         self,
         sim: Simulator,

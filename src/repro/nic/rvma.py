@@ -89,6 +89,8 @@ class GetOp:
 class RvmaNic(BaseNic):
     """RVMA-capable NIC bound to one node."""
 
+    metric_group = "nic.rvma"
+
     def __init__(
         self,
         sim: Simulator,

@@ -2,9 +2,9 @@
 
 Three pieces, one instrumentation surface:
 
-- :class:`MetricsRegistry` federates the flat per-component
-  :mod:`repro.sim.stats` primitives under canonical hierarchical names
-  (``nic.rvma.bytes_placed``, ``transport.retransmits``,
+- :class:`MetricsRegistry` snapshots the :mod:`repro.sim.stats`
+  primitives, which components register under canonical hierarchical
+  names (``nic.rvma.bytes_placed``, ``transport.retransmits``,
   ``recovery.replayed_msgs``), every one documented in
   :data:`~repro.observability.metrics.CATALOG`.
 - :class:`SpanTracer` records sim-time/wall-time intervals with parent
@@ -15,7 +15,7 @@ Three pieces, one instrumentation surface:
   with top-N hottest-span profiling hooks.
 """
 
-from repro.observability.metrics import CATALOG, MetricSpec, MetricsRegistry, canonical_name, lookup
+from repro.observability.metrics import CATALOG, MetricSpec, MetricsRegistry, lookup, uncatalogued
 from repro.observability.report import RunReport
 from repro.observability.spans import Span, SpanTracer
 
@@ -26,6 +26,6 @@ __all__ = [
     "RunReport",
     "Span",
     "SpanTracer",
-    "canonical_name",
     "lookup",
+    "uncatalogued",
 ]

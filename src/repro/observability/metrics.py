@@ -1,13 +1,12 @@
-"""Hierarchical metrics federation over :mod:`repro.sim.stats`.
+"""Hierarchical metrics over :mod:`repro.sim.stats`.
 
-Components keep updating the flat per-component counters they always
-have (``rvma0.bytes_placed``, ``rdma1.rnr_drops``, ``ep0.rel_tx`` …).
-This module is the read side: :class:`MetricsRegistry` sweeps a
-simulator's :class:`~repro.sim.stats.StatsRegistry`, maps every flat
-name onto one *canonical hierarchical* name (``nic.rvma.bytes_placed``,
-``transport.retransmits``, ``recovery.replayed_msgs``), and aggregates
-across components — counters sum, summaries merge via Chan's combine,
-histograms merge bin-wise.
+Components register every statistic under its *canonical hierarchical*
+name (``nic.rvma.bytes_placed``, ``transport.retransmits``,
+``recovery.replayed_msgs``), once, at the point where it is counted:
+every RVMA NIC bumps the one ``nic.rvma.bytes_placed`` counter.  This
+module is the read side: :class:`MetricsRegistry` snapshots a
+simulator's :class:`~repro.sim.stats.StatsRegistry` as it is, with no
+renaming or aggregation step.
 
 Every canonical name is declared in :data:`CATALOG` with a unit and a
 one-line meaning; ``docs/OBSERVABILITY.md`` is generated from and
@@ -19,10 +18,11 @@ stay cycle-free (the engine imports this package's sibling ``spans``).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.sim.stats import Histogram, Summary
+from repro.sim.stats import Histogram, StatsRegistry, Summary
 
 
 @dataclass(frozen=True)
@@ -191,82 +191,6 @@ CATALOG: dict[str, MetricSpec] = {
     ]
 }
 
-# Suffixes owned by a cross-cutting subsystem regardless of which NIC the
-# flat counter was registered on.
-_DETECTOR_SUFFIXES = {"peers_suspected", "peers_reinstated", "peer_failures_seen"}
-_RECOVERY_SUFFIXES = {
-    "rejoins_initiated",
-    "mailboxes_restored",
-    "rejoin_hellos_serviced",
-    "checkpoints_taken",
-    "checkpoints_deferred",
-    "audit_violations",
-    "crashes",
-    "restarts",
-    "failed",
-}
-# Component-name families (trailing digits stripped) → canonical group.
-_COMPONENT_GROUPS = {
-    "rvma": "nic.rvma",
-    "rdma": "nic.rdma",
-    "nic": "nic.base",
-    "switch": "fabric",
-    "fabric": "fabric",
-    "pktfabric": "fabric",
-    "ep": "fabric",
-    "link": "fabric",
-}
-
-
-def _family(component: str) -> str:
-    """Component name with its trailing instance digits stripped."""
-    return component.rstrip("0123456789")
-
-
-def canonical_name(flat_name: str, kind: str = "counter") -> Optional[str]:
-    """Map a flat stats name onto its canonical hierarchical name.
-
-    Returns ``None`` for names that must be *skipped*: the transport,
-    detector and auditor all double-register a flat cluster-wide
-    counter (``reliability.*`` / ``recovery.audit_violations``) next to
-    their per-NIC one — counting both would double every value.  The
-    skip applies to counters only, so canonical summaries/histograms
-    registered directly under those prefixes pass through untouched.
-    """
-    component, _, suffix = flat_name.partition(".")
-    if kind == "counter" and component in ("reliability", "recovery"):
-        # Checked before the CATALOG passthrough: the auditor's flat
-        # recovery.audit_violations is itself a catalog name, and
-        # passing it through would double-count the per-NIC copy.
-        return None
-    if flat_name in CATALOG:
-        return flat_name
-    if not suffix:
-        return f"host.{flat_name}"
-    if component == "faults":
-        return flat_name
-    if component == "workload":
-        # Trace recorder/replayer stats register flat under their
-        # canonical workload.trace.* names.
-        return flat_name
-    if component == "service":
-        # Service metrics are registered flat under their canonical
-        # names; the per-tenant families (service.kv.tenant.*.t<id>)
-        # match CATALOG prefix patterns rather than literal entries.
-        return flat_name
-    if suffix == "rel_replays":
-        return "recovery.replayed_msgs"
-    if suffix.startswith("rel_"):
-        return f"transport.{suffix[4:]}"
-    if suffix in _DETECTOR_SUFFIXES:
-        return f"detector.{suffix}"
-    if suffix in _RECOVERY_SUFFIXES:
-        return f"recovery.{suffix}"
-    group = _COMPONENT_GROUPS.get(_family(component))
-    if group is not None:
-        return f"{group}.{suffix}"
-    return f"host.{component}.{suffix}"
-
 
 def lookup(name: str) -> Optional[MetricSpec]:
     """Catalog spec for *name*, honoring ``prefix*`` pattern entries."""
@@ -279,14 +203,24 @@ def lookup(name: str) -> Optional[MetricSpec]:
     return None
 
 
+def uncatalogued(stats: StatsRegistry) -> list[str]:
+    """Registered stats names (any kind) that the CATALOG does not declare."""
+    names = [
+        name
+        for items in (stats.counter_items(), stats.summary_items(), stats.histogram_items())
+        for name, _ in items
+    ]
+    return sorted(n for n in names if lookup(n) is None)
+
+
 class MetricsRegistry:
-    """A federated, hierarchical view over one run's statistics.
+    """A hierarchical view over one run's statistics.
 
     Build one with :meth:`collect` after (or during) a run; it holds
-    aggregated counters, merged summaries and merged histograms keyed
-    by canonical name, plus whatever ``observable_metrics()`` hooks the
-    registered components expose (fabric/switch attribute counters that
-    predate the stats registry).
+    counter values and copies of the summaries and histograms, keyed by
+    the canonical names components registered them under, plus whatever
+    ``observable_metrics()`` hooks the registered components expose
+    (fabric/switch attribute counters that predate the stats registry).
     """
 
     def __init__(self) -> None:
@@ -298,39 +232,19 @@ class MetricsRegistry:
 
     @classmethod
     def collect(cls, target: Any) -> "MetricsRegistry":
-        """Sweep *target* (a Simulator, or anything with ``.sim``).
+        """Snapshot *target* (a Simulator, or anything with ``.sim``).
 
-        Flat stats fold in under canonical names; components exposing
-        an ``observable_metrics() -> dict[str, int]`` hook contribute
-        those values as counters (summed when several components emit
-        the same name).
+        Stats are read under the names they were registered with;
+        components exposing an ``observable_metrics() -> dict[str, int]``
+        hook contribute those values as counters (summed when several
+        components emit the same name).
         """
         sim = getattr(target, "sim", target)
         reg = cls()
         stats = sim.stats
-        for flat, counter in stats.counter_items():
-            name = canonical_name(flat, "counter")
-            if name is None:
-                continue
-            reg.counters[name] = reg.counters.get(name, 0) + counter.value
-        for flat, summ in stats.summary_items():
-            name = canonical_name(flat, "summary")
-            if name is None:
-                continue
-            agg = reg.summaries.get(name)
-            if agg is None:
-                agg = reg.summaries[name] = Summary(name)
-            agg.merge(summ)
-        for flat, hist in stats.histogram_items():
-            name = canonical_name(flat, "histogram")
-            if name is None:
-                continue
-            agg = reg.histograms.get(name)
-            if agg is None:
-                agg = reg.histograms[name] = Histogram(
-                    name, hist.lo, hist.hi, hist.nbins
-                )
-            agg.merge(hist)
+        reg.counters = stats.counters()
+        reg.summaries = {name: copy.deepcopy(s) for name, s in stats.summary_items()}
+        reg.histograms = {name: copy.deepcopy(h) for name, h in stats.histogram_items()}
         for comp in getattr(sim, "_components", []):
             hook = getattr(comp, "observable_metrics", None)
             if hook is None:

@@ -1,6 +1,6 @@
 """Run reports: one JSON/markdown artifact answering "what did this run do?".
 
-A :class:`RunReport` snapshots the federated metrics (grouped
+A :class:`RunReport` snapshots the canonical metrics (grouped
 hierarchically), the span rollup (per-category counts and durations,
 plus the top-N hottest spans by sim-time and wall-time), and arbitrary
 run metadata.  The chaos and experiment harnesses build one per run and

@@ -252,10 +252,10 @@ class CheckpointDaemon:
         if nic.failed:
             return None
         if not nic.pipeline_quiescent():
-            nic.stat("checkpoints_deferred").add()
+            self.sim.stats.counter("recovery.checkpoints_deferred").add()
             return None
         if nic.transport is not None and not nic.transport.quiescent_rx():
-            nic.stat("checkpoints_deferred").add()
+            self.sim.stats.counter("recovery.checkpoints_deferred").add()
             return None
         self._seq += 1
         ckpt = NodeCheckpoint(node_id=self.node.node_id, time=self.sim.now, seq=self._seq)
@@ -281,6 +281,6 @@ class CheckpointDaemon:
             ckpt.rx_cums = dict(nic.transport.rx_cums())
         self.latest = ckpt
         self.taken += 1
-        nic.stat("checkpoints_taken").add()
+        self.sim.stats.counter("recovery.checkpoints_taken").add()
         self.sim.stats.summary("recovery.checkpoint_mailboxes").add(len(ckpt.mailboxes))
         return ckpt

@@ -190,7 +190,7 @@ class RecoveryAgent:
                     epochs=epochs,
                 ),
             )
-        nic.stat("rejoins_initiated").add()
+        self.node.sim.stats.counter("recovery.rejoins_initiated").add()
         if ckpt is not None:
             self.node.sim.stats.summary("recovery.checkpoint_age_ns").add(
                 self.node.sim.now - ckpt.time
@@ -272,7 +272,7 @@ class RecoveryAgent:
             entry = lut.entries.get(self.op_journal.catch_all)
             if entry is not None:
                 lut.set_catch_all(entry)
-        nic.stat("mailboxes_restored").add(len(restored))
+        self.node.sim.stats.counter("recovery.mailboxes_restored").add(len(restored))
         return restored
 
     def _drain_satisfied_boundaries(self, restored: dict) -> None:
@@ -311,7 +311,7 @@ class RecoveryAgent:
         self.report.hellos_serviced.append(
             (self.node.node_id, hdr.node, self.node.sim.now)
         )
-        nic.stat("rejoin_hellos_serviced").add()
+        self.node.sim.stats.counter("recovery.rejoin_hellos_serviced").add()
         if nic.transport is None:
             return
         holes = nic.transport.replay_flows(

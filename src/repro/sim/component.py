@@ -68,9 +68,6 @@ class Component:
         self.sim = sim
         self.name = name
         self.ports: dict[str, Port] = {}
-        #: suffix -> Counter; avoids the f-string + registry lookup on
-        #: every stat() call (NIC fast paths bump several per packet).
-        self._stat_cache: dict[str, Any] = {}
         sim.register_component(self)
 
     def add_port(self, name: str, handler: Optional[Callable[[Any], None]] = None) -> Port:
@@ -84,14 +81,6 @@ class Component:
 
     def port(self, name: str) -> Port:
         return self.ports[name]
-
-    def stat(self, suffix: str):
-        """Component-scoped counter, e.g. ``nic0.packets_rx``."""
-        c = self._stat_cache.get(suffix)
-        if c is None:
-            c = self.sim.stats.counter(f"{self.name}.{suffix}")
-            self._stat_cache[suffix] = c
-        return c
 
     def trace(self, message: str, **fields: Any) -> None:
         tracer = self.sim.tracer

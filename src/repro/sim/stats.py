@@ -65,8 +65,7 @@ class Summary:
 
     def merge(self, other: "Summary") -> "Summary":
         """Fold *other*'s samples into this summary (Chan's parallel
-        variance combine); the observability layer uses this to federate
-        per-component summaries into one cluster-wide metric."""
+        variance combine), e.g. to pool summaries from separate runs."""
         if other.n == 0:
             return self
         if self.n == 0:

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import Cluster
 from repro.network.config import NetworkConfig
 from repro.network.routing import RoutingMode
 from repro.sim import Simulator
 
-
+#: Property tests draw the same examples on every run (seeded from each
+#: test's own definition), so a tier-1 failure reproduces exactly.
+#: Per-test ``@settings(max_examples=...)`` still sets how many.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

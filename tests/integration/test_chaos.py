@@ -114,7 +114,7 @@ def test_failure_detector_triggers_automatic_rewind():
     assert recovery.rewound is not None
     assert recovery.rewound.data == _payload(1, size)
     assert recovery.recovery_ns >= 0.0
-    assert cl.sim.stats.counter("reliability.peers_suspected").value == 1
+    assert cl.sim.stats.counter("detector.peers_suspected").value == 1
 
 
 def test_chaos_reliability_budget_covers_generated_windows():

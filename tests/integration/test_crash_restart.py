@@ -125,7 +125,7 @@ def test_crash_restart_rejoin_cycle_end_to_end():
     assert rep.replay_holes == []
     # The restart restored from a real checkpoint, not a cold LUT.
     assert mgr.agent(1).daemon.taken >= 1
-    assert cl.node(1).nic.stat("mailboxes_restored").value >= 1
+    assert cl.sim.stats.counter("recovery.mailboxes_restored").value >= 1
     # The auditor watched the whole run, replay included: clean.
     report = aud.report()
     assert report["ok"], report["violations"]

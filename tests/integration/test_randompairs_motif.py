@@ -27,7 +27,7 @@ def test_target_assignment_deterministic_and_never_self():
 def test_all_messages_delivered(nic):
     res, cl = _run(nic, msgs_per_rank=5)
     assert res.messages == 16 * 5
-    assert cl.sim.stats.counters().get("rvma0.puts_lost", 0) == 0
+    assert cl.sim.stats.counters().get("nic.rvma.puts_lost", 0) == 0
 
 
 def test_rvma_needs_no_pair_state():

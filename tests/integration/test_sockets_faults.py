@@ -73,8 +73,8 @@ def test_stream_exact_under_sustained_drops():
 
     data, _ = _drive(cl, server(), client())
     assert data == payload
-    assert cl.sim.stats.counter("reliability.rel_retransmits").value > 0
-    assert cl.sim.stats.counter("reliability.rel_gave_up").value == 0
+    assert cl.sim.stats.counter("transport.retransmits").value > 0
+    assert cl.sim.stats.counter("transport.gave_up").value == 0
 
 
 def test_stream_survives_server_crash_restart():
@@ -120,4 +120,4 @@ def test_stream_survives_server_crash_restart():
     assert rep.replay_holes == []
     report = aud.report()
     assert report["ok"], report["violations"]
-    assert cl.sim.stats.counter("reliability.rel_gave_up").value == 0
+    assert cl.sim.stats.counter("transport.gave_up").value == 0

@@ -80,7 +80,7 @@ def test_counter_spill_under_window_pressure_is_correct_but_slower():
         run_gens(cl.sim, receiver(), sender())
         if counters == 0:
             assert cl.node(1).nic.lut.spill_events == n_windows
-            assert cl.sim.stats.counter("rvma1.spilled_completions").value == n_windows
+            assert cl.sim.stats.counter("nic.rvma.spilled_completions").value == n_windows
         return done["t"] - done["t0"]
 
     fast = run(counters=1024)

@@ -75,11 +75,11 @@ def _run(drops_per_seq, seed, faulty):
     cl.sim.run()
     assert cp.finished and pp.finished, "run deadlocked under drop schedule"
     stats = cl.sim.stats
-    assert stats.counter("reliability.rel_gave_up").value == 0
-    assert stats.counter("rvma1.puts_lost").value == 0
+    assert stats.counter("transport.gave_up").value == 0
+    assert stats.counter("nic.rvma.puts_lost").value == 0
     if faulty:
         assert (
-            stats.counter("reliability.rel_retransmits").value
+            stats.counter("transport.retransmits").value
             >= sum(drops_per_seq)
         )
     return placed["data"]

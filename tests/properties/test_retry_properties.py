@@ -55,4 +55,4 @@ def test_no_put_lost_when_capacity_eventually_appears(
     assert rp.finished and sp.finished
     assert len(consumed) == n_puts
     assert all(length == 64 for length in consumed)
-    assert cl.sim.stats.counter("rvma0.puts_lost").value == 0
+    assert cl.sim.stats.counter("nic.rvma.puts_lost").value == 0

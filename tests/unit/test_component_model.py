@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.sim import Component, Link, Simulator
 
 
@@ -23,11 +24,17 @@ def test_component_registration_and_ports():
 
 
 def test_component_stats_are_namespaced():
-    sim = Simulator()
-    a, b = _Probe(sim, "a"), _Probe(sim, "b")
-    a.stat("events").add(2)
-    b.stat("events").add(5)
-    assert sim.stats.counters() == {"a.events": 2, "b.events": 5}
+    # A plain component owns no counters.  A NIC's stat() registers under
+    # its kind's canonical group: one counter shared by every NIC of the
+    # kind, never a per-instance "<name>.<suffix>" key.
+    assert not hasattr(_Probe(Simulator(), "a"), "stat")
+    for kind in ("rvma", "rdma"):
+        cl = Cluster.build(n_nodes=2, topology="star", nic_type=kind, fidelity="flow")
+        a, b = cl.node(0).nic, cl.node(1).nic
+        a.stat("bytes_placed").add(2)
+        b.stat("bytes_placed").add(5)
+        assert a.stat("bytes_placed") is b.stat("bytes_placed")
+        assert cl.sim.stats.counters() == {f"nic.{kind}.bytes_placed": 7}
 
 
 def test_component_trace_respects_enablement():

@@ -103,7 +103,7 @@ def test_restart_after_restart_is_idempotent():
     # The injector faithfully logs both commands, but the NIC treats
     # the second as a no-op rather than double-counting a restart.
     assert [t for (_n, t) in inj.log.restarts] == [2_000.0, 3_000.0]
-    assert nic0.stat("restarts").value == 1
+    assert nic0.sim.stats.counter("recovery.restarts").value == 1
     assert got["data"] == payload  # the restored node sends normally
 
 

@@ -1,72 +1,61 @@
-"""Unit tests for the observability layer: canonical-name federation,
-the span tracer, MetricsRegistry collection, and RunReport merge/render.
+"""Unit tests for the observability layer: registration-side canonical
+names, the span tracer, MetricsRegistry collection, and RunReport
+merge/render.
 """
 
 import json
 
+from repro.cluster import Cluster
+from repro.core import RvmaApi
+from repro.nic.rvma import RvmaNicConfig
 from repro.observability import (
     CATALOG,
     MetricsRegistry,
     RunReport,
     SpanTracer,
-    canonical_name,
     lookup,
+    uncatalogued,
 )
+from repro.reliability import ReliabilityConfig
 from repro.sim import Simulator
 
-
-# --- canonical_name mapping ---------------------------------------------
-
-
-def test_canonical_passthrough_for_catalog_names():
-    assert canonical_name("fabric.messages_sent") == "fabric.messages_sent"
-    assert canonical_name("transport.tx_attempts", "summary") == "transport.tx_attempts"
+from tests.helpers import run_gens
 
 
-def test_canonical_component_family_rules():
-    assert canonical_name("rvma0.bytes_placed") == "nic.rvma.bytes_placed"
-    assert canonical_name("rvma17.bytes_placed") == "nic.rvma.bytes_placed"
-    assert canonical_name("rdma3.mrs_registered") == "nic.rdma.mrs_registered"
-    assert canonical_name("nic2.tx_messages") == "nic.base.tx_messages"
-    assert canonical_name("switch5.packets_forwarded") == "fabric.packets_forwarded"
+# --- registration-side names -------------------------------------------
 
 
-def test_canonical_rel_prefix_maps_to_transport():
-    assert canonical_name("ep0.rel_tx") == "transport.tx"
-    assert canonical_name("rvma1.rel_retransmits") == "transport.retransmits"
-    # replays are recovery-owned, not transport-owned
-    assert canonical_name("rvma1.rel_replays") == "recovery.replayed_msgs"
+def test_collect_keeps_uncatalogued_names_verbatim():
+    # No read-side translation: a name the CATALOG does not declare is
+    # reported exactly as registered (no host.* fallback) and flagged.
+    sim = Simulator()
+    sim.stats.counter("mystery7.widgets").add(3)
+    sim.stats.counter("fabric.bytes_sent").add(1)
+    reg = MetricsRegistry.collect(sim)
+    assert reg.counters == {"mystery7.widgets": 3, "fabric.bytes_sent": 1}
+    assert reg.undocumented() == ["mystery7.widgets"]
+    assert uncatalogued(sim.stats) == ["mystery7.widgets"]
 
 
-def test_canonical_skips_flat_reliability_counter_duplicates():
-    # transport/detector/auditor double-register flat cluster-wide
-    # counters next to their per-NIC ones; counting both would double
-    # every value.
-    assert canonical_name("reliability.rel_tx") is None
-    assert canonical_name("recovery.audit_violations") is None
-    # ...but the skip applies to counters only: canonical summaries
-    # registered directly under those prefixes pass through.
-    assert (
-        canonical_name("recovery.checkpoint_age_ns", "summary")
-        == "recovery.checkpoint_age_ns"
+def test_reliability_counters_register_once_under_canonical_names():
+    # The transport registers transport.* itself, once: no per-NIC
+    # "<nic>.rel_tx" and no flat "reliability.*" copy beside it.
+    cl = Cluster.build(
+        n_nodes=2, topology="star", nic_type="rvma", fidelity="flow",
+        nic_config=RvmaNicConfig(reliability=ReliabilityConfig()),
     )
+    api0 = RvmaApi(cl.node(0))
 
+    def tx():
+        op = yield from api0.put(1, 0xAB, size=64)
+        yield op.local_done
 
-def test_canonical_faults_not_remapped_by_suffix_rules():
-    # faults.crashes must stay under faults, not hit the recovery
-    # suffix rule for "crashes".
-    assert canonical_name("faults.crashes") == "faults.crashes"
-    assert canonical_name("faults.drops_random") == "faults.drops_random"
-
-
-def test_canonical_detector_and_recovery_suffixes():
-    assert canonical_name("rvma0.peers_suspected") == "detector.peers_suspected"
-    assert canonical_name("rvma0.rejoins_initiated") == "recovery.rejoins_initiated"
-
-
-def test_canonical_unknown_component_lands_under_host():
-    assert canonical_name("mystery7.widgets") == "host.mystery7.widgets"
-    assert canonical_name("bare") == "host.bare"
+    run_gens(cl.sim, tx())
+    counters = cl.sim.stats.counters()
+    assert counters["transport.tx"] >= 1
+    assert counters["transport.delivered"] >= 1
+    assert uncatalogued(cl.sim.stats) == []
+    assert MetricsRegistry.collect(cl).counters["transport.tx"] == counters["transport.tx"]
 
 
 def test_lookup_honors_patterns():
@@ -175,13 +164,10 @@ def test_span_chrome_trace_shapes():
 
 def test_collect_federates_and_dedups():
     sim = Simulator()
-    # two RVMA NICs' worth of flat counters
-    sim.stats.counter("rvma0.bytes_placed").add(100)
-    sim.stats.counter("rvma1.bytes_placed").add(50)
-    # per-NIC transport counters + their flat cluster-wide duplicates
-    sim.stats.counter("rvma0.rel_tx").add(7)
-    sim.stats.counter("reliability.rel_tx").add(7)
-    # canonical summary registered directly
+    # every RVMA NIC bumps the one canonical counter
+    sim.stats.counter("nic.rvma.bytes_placed").add(100)
+    sim.stats.counter("nic.rvma.bytes_placed").add(50)
+    sim.stats.counter("transport.tx").add(7)
     sim.stats.summary("fabric.msg_latency_ns").add(10.0)
     sim.stats.summary("fabric.msg_latency_ns").add(30.0)
 
@@ -192,7 +178,7 @@ def test_collect_federates_and_dedups():
     sim.register_component(FakeFabric())
     reg = MetricsRegistry.collect(sim)
     assert reg.counters["nic.rvma.bytes_placed"] == 150
-    assert reg.counters["transport.tx"] == 7  # not 14: flat dup skipped
+    assert reg.counters["transport.tx"] == 7  # registered once, read once
     assert reg.counters["fabric.messages_sent"] == 3
     assert reg.summaries["fabric.msg_latency_ns"].n == 2
     assert reg.groups() == ["fabric", "nic", "transport"]
@@ -203,17 +189,23 @@ def test_collect_federates_and_dedups():
 
 
 def test_collect_merges_histograms_across_components():
-    sim = Simulator()
-    sim.stats.histogram("rvma0.epoch_bytes", 0.0, 100.0, 10).add(5.0)
-    sim.stats.histogram("rvma1.epoch_bytes", 0.0, 100.0, 10).add(15.0)
-    reg = MetricsRegistry.collect(sim)
+    # Both NICs feed the one nic.rvma.epoch_bytes histogram; collect()
+    # snapshots it, so later samples do not leak into the registry.
+    cl = Cluster.build(n_nodes=2, topology="star", nic_type="rvma", fidelity="flow")
+    nic0, nic1 = cl.node(0).nic, cl.node(1).nic
+    assert nic0._epoch_hist is nic1._epoch_hist
+    nic0._epoch_hist.add(5.0)
+    nic1._epoch_hist.add(float(1 << 14) + 5.0)
+    reg = MetricsRegistry.collect(cl)
     h = reg.histograms["nic.rvma.epoch_bytes"]
     assert h.count == 2 and h.bins[0] == 1 and h.bins[1] == 1
+    nic0._epoch_hist.add(5.0)
+    assert h.count == 2
 
 
 def test_collect_accepts_cluster_like_target():
     sim = Simulator()
-    sim.stats.counter("rvma0.tx_messages").add(2)
+    sim.stats.counter("nic.rvma.tx_messages").add(2)
 
     class ClusterLike:
         pass
@@ -233,7 +225,7 @@ def _report_from(sim, meta=None):
 
 def test_run_report_round_trip(tmp_path):
     sim = Simulator()
-    sim.stats.counter("rvma0.bytes_placed").add(64)
+    sim.stats.counter("nic.rvma.bytes_placed").add(64)
     sim.spans.enable()
     sp = sim.spans.begin("run", "unit")
     sim.schedule(10.0, sim.spans.end, sp)
@@ -254,7 +246,7 @@ def test_run_report_merge_combines_counters_and_summaries():
     reports = []
     for placed, lat in ((100, 10.0), (50, 30.0)):
         sim = Simulator()
-        sim.stats.counter("rvma0.bytes_placed").add(placed)
+        sim.stats.counter("nic.rvma.bytes_placed").add(placed)
         sim.stats.summary("fabric.msg_latency_ns").add(lat)
         reports.append(_report_from(sim))
     merged = RunReport.merge(reports, meta={"harness": "test"})
@@ -269,6 +261,6 @@ def test_run_report_merge_combines_counters_and_summaries():
 
 def test_run_report_merge_single_passthrough():
     sim = Simulator()
-    sim.stats.counter("rvma0.bytes_placed").add(5)
+    sim.stats.counter("nic.rvma.bytes_placed").add(5)
     merged = RunReport.merge([_report_from(sim)])
     assert merged.metrics["nic"]["nic.rvma.bytes_placed"] == 5

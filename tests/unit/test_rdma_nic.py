@@ -136,7 +136,7 @@ def test_write_bad_rkey_fails(rdma_pair):
 
     entry = run_gen(cl.sim, sender())
     assert entry.kind is CqKind.ERROR and not entry.ok
-    assert cl.sim.stats.counter("rdma1.writes_rejected").value == 1
+    assert cl.sim.stats.counter("nic.rdma.writes_rejected").value == 1
 
 
 def test_write_beyond_region_fails(rdma_pair):
@@ -250,8 +250,8 @@ def test_send_rnr_retries_until_recv_posted(rdma_pair):
     recv_entry, send_entry = run_gens(cl.sim, receiver(), sender())
     assert recv_entry.kind is CqKind.RECV
     assert send_entry.ok
-    assert cl.sim.stats.counter("rdma1.rnr_drops").value >= 1
-    assert cl.sim.stats.counter("rdma0.rnr_retries").value >= 1
+    assert cl.sim.stats.counter("nic.rdma.rnr_drops").value >= 1
+    assert cl.sim.stats.counter("nic.rdma.rnr_retries").value >= 1
 
 
 def test_send_tag_matching_claims_correct_recv(rdma_pair):
@@ -300,7 +300,7 @@ def test_recv_too_small_fails_send(rdma_pair):
 
     _, entry = run_gens(cl.sim, receiver(), sender())
     assert not entry.ok
-    assert cl.sim.stats.counter("rdma1.recv_too_small").value == 1
+    assert cl.sim.stats.counter("nic.rdma.recv_too_small").value == 1
 
 
 # --- reads ----------------------------------------------------------------------
@@ -361,5 +361,5 @@ def test_send_rnr_exhaustion_fails_op(rdma_pair):
 
     entry = run_gen(cl.sim, sender())
     assert entry.kind is CqKind.ERROR and not entry.ok
-    assert cl.sim.stats.counter("rdma0.rnr_retries").value == 2
-    assert cl.sim.stats.counter("rdma1.rnr_drops").value == 3  # initial + 2 retries
+    assert cl.sim.stats.counter("nic.rdma.rnr_retries").value == 2
+    assert cl.sim.stats.counter("nic.rdma.rnr_drops").value == 3  # initial + 2 retries

@@ -79,8 +79,8 @@ def test_backoff_schedule_grows_geometrically_and_caps():
     nominal = [1_000.0, 2_000.0, 4_000.0, 4_000.0, 4_000.0]
     for gap, base in zip(gaps, nominal):
         assert base <= gap <= base * (1.0 + cfg.jitter_frac) + 1e-9
-    assert cl.sim.stats.counter("reliability.rel_retransmits").value == cfg.max_retries
-    assert cl.sim.stats.counter("reliability.rel_gave_up").value == 1
+    assert cl.sim.stats.counter("transport.retransmits").value == cfg.max_retries
+    assert cl.sim.stats.counter("transport.gave_up").value == 1
     assert transport.unacked() == 0  # abandoned, not leaked
 
 
@@ -135,10 +135,10 @@ def test_lost_acks_cause_dup_suppression_not_double_placement():
     assert got["data"] == payload
     assert lost["n"] == 2
     stats = cl.sim.stats
-    assert stats.counter("reliability.rel_dups_suppressed").value >= 1
+    assert stats.counter("transport.dups_suppressed").value >= 1
     # Placement stayed idempotent: exactly one buffer's worth of bytes.
-    assert stats.counter("rvma1.bytes_placed").value == nbytes
-    assert stats.counter("rvma1.epochs_completed").value == 1
+    assert stats.counter("nic.rvma.bytes_placed").value == nbytes
+    assert stats.counter("nic.rvma.epochs_completed").value == 1
     assert cl.node(0).nic.transport.unacked() == 0
 
 
@@ -173,7 +173,7 @@ def test_reliable_put_survives_heavy_random_loss():
 
     run_gens(cl.sim, rx(), tx())
     assert got["data"] == payload
-    assert cl.sim.stats.counter("rvma1.bytes_placed").value == nbytes
+    assert cl.sim.stats.counter("nic.rvma.bytes_placed").value == nbytes
 
 
 # --------------------------------------------------------------- injector

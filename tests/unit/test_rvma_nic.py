@@ -126,9 +126,9 @@ def test_put_to_unknown_mailbox_retries_then_fails(rvma_pair):
     # The put is retried (the mailbox might have been mid-initialisation)
     # and, with the window never appearing, is eventually declared lost.
     retries = cl.node(0).nic.cfg.put_retries
-    assert cl.sim.stats.counter("rvma1.nacks_no_mailbox").value == retries + 1
-    assert cl.sim.stats.counter("rvma0.put_retries").value == retries
-    assert cl.sim.stats.counter("rvma0.puts_lost").value == 1
+    assert cl.sim.stats.counter("nic.rvma.nacks_no_mailbox").value == retries + 1
+    assert cl.sim.stats.counter("nic.rvma.put_retries").value == retries
+    assert cl.sim.stats.counter("nic.rvma.puts_lost").value == 1
 
 
 def test_put_to_closed_window_nacks(rvma_pair):
@@ -187,8 +187,8 @@ def test_no_buffer_nack_retries_then_succeeds(rvma_pair):
 
     contents, _ = run_gens(cl.sim, receiver(), sender())
     assert contents == b"R" * 64
-    assert cl.sim.stats.counter("rvma0.put_retries").value >= 1
-    assert cl.sim.stats.counter("rvma0.puts_lost").value == 0
+    assert cl.sim.stats.counter("nic.rvma.put_retries").value >= 1
+    assert cl.sim.stats.counter("nic.rvma.puts_lost").value == 0
 
 
 def test_nacks_can_be_disabled(rvma_pair):
@@ -226,7 +226,7 @@ def test_catch_all_receives_unmatched(rvma_pair):
 
     contents, _ = run_gens(cl.sim, receiver(), sender())
     assert contents == b"unmatched"
-    assert cl.sim.stats.counter("rvma1.catch_all_hits").value >= 1
+    assert cl.sim.stats.counter("nic.rvma.catch_all_hits").value >= 1
 
 
 def test_inc_epoch_preempts_completion(rvma_pair):
@@ -329,8 +329,8 @@ def test_failed_nic_drops_traffic(rvma_pair):
         yield 10000.0
 
     run_gens(cl.sim, receiver(), sender())
-    assert cl.sim.stats.counter("rvma1.rx_dropped_failed").value >= 1
-    assert cl.sim.stats.counter("rvma1.bytes_placed").value == 0
+    assert cl.sim.stats.counter("nic.rvma.rx_dropped_failed").value >= 1
+    assert cl.sim.stats.counter("nic.rvma.bytes_placed").value == 0
 
 
 def test_zero_byte_put_signals_ops_threshold(rvma_pair):

@@ -29,8 +29,9 @@ Seven checks, all fatal on failure:
    must still exist in the registry.
 7. **Live report coverage** — one small chaos run with observability on
    must produce a report whose metric groups include
-   nic/transport/recovery/fabric, with >= 3 span categories, and with
-   every reported metric declared in the CATALOG (hence documented, by
+   nic/transport/recovery/fabric, with >= 3 span categories; every
+   name the run registered in its stats registry, and every reported
+   metric, must be declared in the CATALOG (hence documented, by
    check 2).
 
 Run from the repo root:
@@ -200,13 +201,18 @@ def check_bench_cells() -> list[str]:
 
 def check_live_report() -> list[str]:
     from repro.experiments.chaos import run_motif_under_chaos
+    from repro.observability import uncatalogued
 
+    sims = []
     out = run_motif_under_chaos(
         "allreduce", seed=1, n_crashes=1, observe=True, trace=True,
-        compare_clean=False,
+        compare_clean=False, configure=lambda injector: sims.append(injector.sim),
     )
     rep = out.run_report
-    problems = []
+    problems = [
+        f"live run: registered metric `{name}` not declared in CATALOG"
+        for name in uncatalogued(sims[0].stats)
+    ]
     groups = set(rep.groups())
     for required in ("nic", "transport", "recovery", "fabric"):
         if required not in groups:
