@@ -101,7 +101,7 @@ class VerbsEndpoint:
         yield self.costs.post_send
         return self.nic.hw_send(dst, size, data, tag, mode, wr_id, signaled=signaled)
 
-    def wait_cq(self, wr_id: int, kind: Optional[CqKind] = None) -> Generator:
+    def wait_cq(self, wr_id: int, kind: CqKind) -> Generator:
         """Poll the shared CQ until the matching entry is harvested."""
         entry = yield self.dispatcher.wait_wr(wr_id, kind)
         yield self.costs.poll_cq

@@ -40,3 +40,26 @@ def test_render_figures_tool_fast_subset(tmp_path, monkeypatch):
     out = tmp_path / "fig4.svg"
     out.write_text(svg)
     assert out.stat().st_size > 1000
+
+
+def _docs_check():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("docs_check", ROOT / "tools" / "docs_check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_docs_check_flags_methods_a_class_no_longer_has():
+    docs_check = _docs_check()
+    text = (ROOT / "docs" / "API.md").read_text()
+    assert docs_check.check_api_methods(text) == []
+    heading = "#### `CqDispatcher`\n"
+    assert heading in text
+    stale = text.replace(
+        heading, heading + "\n- `wait_for(pred) -> 'Future'` — Removed API.\n", 1
+    )
+    assert docs_check.check_api_methods(stale) == [
+        "docs/API.md: stale method `CqDispatcher.wait_for`"
+    ]

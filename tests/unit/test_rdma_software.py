@@ -179,7 +179,7 @@ def test_dispatcher_routes_by_predicate(rdma_pair):
     from repro.nic.cq import CqEntry
 
     def waiter(wr):
-        entry = yield disp.wait_wr(wr)
+        entry = yield disp.wait_wr(wr, CqKind.RECV)
         return entry.wr_id
 
     def pusher():
@@ -202,12 +202,65 @@ def test_dispatcher_keeps_unclaimed_entries(rdma_pair):
         # The entry arrives while someone waits for a different wr_id...
         nic.cq.push(CqEntry(CqKind.RECV, op_id=1, wr_id=5))
         nic.cq.push(CqEntry(CqKind.RECV, op_id=2, wr_id=6))
-        e6 = yield disp.wait_wr(6)
+        e6 = yield disp.wait_wr(6, CqKind.RECV)
         # ...and the other entry is still claimable afterwards.
-        e5 = yield disp.wait_wr(5)
+        e5 = yield disp.wait_wr(5, CqKind.RECV)
         return e5.wr_id, e6.wr_id
 
     assert run_gen(cl.sim, early_pusher_then_waiter()) == (5, 6)
+
+
+def test_dispatcher_same_key_waiters_first_come_first_served(rdma_pair):
+    cl = rdma_pair
+    nic = cl.node(0).nic
+    disp = CqDispatcher(cl.sim, nic.cq)
+    from repro.nic.cq import CqEntry
+
+    def waiter():
+        entry = yield disp.wait_wr(3, CqKind.RECV)
+        return entry.op_id
+
+    def pusher():
+        yield 10.0
+        nic.cq.push(CqEntry(CqKind.RECV, op_id=1, wr_id=3))
+        nic.cq.push(CqEntry(CqKind.RECV, op_id=2, wr_id=3))
+
+    first, second, _ = run_gens(cl.sim, waiter(), waiter(), pusher())
+    assert (first, second) == (1, 2)
+
+
+def test_dispatcher_recv_waiter_ignores_send_done_with_same_wr_id(rdma_pair):
+    cl = rdma_pair
+    nic = cl.node(0).nic
+    disp = CqDispatcher(cl.sim, nic.cq)
+    from repro.nic.cq import CqEntry
+
+    def proc():
+        nic.cq.push(CqEntry(CqKind.SEND_DONE, op_id=1, wr_id=4))
+        nic.cq.push(CqEntry(CqKind.RECV, op_id=2, wr_id=4))
+        recv = yield disp.wait_wr(4, CqKind.RECV)
+        # The SEND_DONE was kept, not consumed by the RECV waiter.
+        send_done = yield disp.wait_wr(4, CqKind.SEND_DONE)
+        return recv.op_id, send_done.op_id
+
+    assert run_gen(cl.sim, proc()) == (2, 1)
+
+
+def test_dispatcher_early_entry_resolves_one_demux_charge_after_wait(rdma_pair):
+    cl = rdma_pair
+    nic = cl.node(0).nic
+    disp = CqDispatcher(cl.sim, nic.cq)
+    from repro.nic.cq import CqEntry
+
+    def proc():
+        nic.cq.push(CqEntry(CqKind.RECV, op_id=1, wr_id=5))
+        nic.cq.push(CqEntry(CqKind.RECV, op_id=2, wr_id=6))
+        yield disp.wait_wr(6, CqKind.RECV)  # leaves wr 5 unclaimed
+        asked = cl.sim.now
+        yield disp.wait_wr(5, CqKind.RECV)
+        return cl.sim.now - asked
+
+    assert run_gen(cl.sim, proc()) == disp.model.delay_after_store()
 
 
 # --- UCX ----------------------------------------------------------------------------

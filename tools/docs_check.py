@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation drift gate (``make docs-check``).
 
-Seven checks, all fatal on failure:
+Eight checks, all fatal on failure:
 
 1. **API coverage** — every public symbol exported from
    ``repro.__init__`` (its ``__all__``) and every public method of
@@ -33,6 +33,9 @@ Seven checks, all fatal on failure:
    name the run registered in its stats registry, and every reported
    metric, must be declared in the CATALOG (hence documented, by
    check 2).
+8. **Stale API methods** — every method ``docs/API.md`` lists under a
+   class heading must still exist on that class (checked by name, so
+   the result does not depend on the Python version's signatures).
 
 Run from the repo root:
 
@@ -41,6 +44,7 @@ Run from the repo root:
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -227,6 +231,36 @@ def check_live_report() -> list[str]:
     return problems
 
 
+def check_api_methods(text: str | None = None) -> list[str]:
+    """Methods ``docs/API.md`` lists under a class the class no longer has.
+
+    API.md is generated: ``## `module` `` headings, ``#### `Class` ``
+    headings (functions carry their signature, classes do not), then one
+    ``- `method(...)` `` line per method.
+    """
+    if text is None:
+        text = API_MD.read_text(encoding="utf-8")
+    problems = []
+    module = cls = None
+    for line in text.splitlines():
+        if m := re.match(r"## `([\w.]+)`$", line):
+            module, cls = importlib.import_module(m.group(1)), None
+        elif m := re.match(r"#### `(\w+)`$", line):
+            cls = getattr(module, m.group(1), None)
+            if cls is None:
+                problems.append(
+                    f"docs/API.md: stale class `{module.__name__}.{m.group(1)}`"
+                )
+        elif line.startswith("#"):
+            cls = None
+        elif cls is not None and (m := re.match(r"- `(\w+)\(", line)):
+            if not hasattr(cls, m.group(1)):
+                problems.append(
+                    f"docs/API.md: stale method `{cls.__qualname__}.{m.group(1)}`"
+                )
+    return problems
+
+
 def main() -> int:
     problems = []
     problems += check_api_coverage()
@@ -236,6 +270,7 @@ def main() -> int:
     problems += check_workload_metric_rows()
     problems += check_bench_cells()
     problems += check_live_report()
+    problems += check_api_methods()
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
         for p in problems:
